@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,16 @@ struct SchemeCase
      *  warmed loop keeps succeeding deterministically). */
     int faults;
 };
+
+/** Field-wise print, so the discovered ctest names are stable (gtest
+ *  would otherwise print the raw bytes, pointer included). */
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << "{name=" << c.name << ", blockBits=" << c.blockBits
+        << ", writeAllocFree=" << (c.writeAllocFree ? "true" : "false")
+        << ", faults=" << c.faults << "}";
+}
 
 const SchemeCase kCases[] = {
     {"none", 512, true, 0},

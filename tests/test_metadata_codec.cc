@@ -9,6 +9,8 @@
  * just an accounting convention.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "aegis/factory.h"
@@ -70,6 +72,13 @@ struct CodecCase
     const char *name;
     std::size_t blockBits;
 };
+
+/** Field-wise print, so the discovered ctest names are stable. */
+void
+PrintTo(const CodecCase &c, std::ostream *os)
+{
+    *os << "{name=" << c.name << ", blockBits=" << c.blockBits << "}";
+}
 
 class MetadataRoundTrip : public ::testing::TestWithParam<CodecCase>
 {};

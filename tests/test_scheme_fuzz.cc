@@ -20,6 +20,7 @@
 
 #include <cctype>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,15 @@ struct FuzzCase
     std::size_t blockBits;
     int steps;
 };
+
+/** Field-wise print, so the discovered ctest names are stable (gtest
+ *  would otherwise print the raw bytes, pointer included). */
+void
+PrintTo(const FuzzCase &c, std::ostream *os)
+{
+    *os << "{name=" << c.name << ", blockBits=" << c.blockBits
+        << ", steps=" << c.steps << "}";
+}
 
 class SchemeFuzz : public ::testing::TestWithParam<FuzzCase>
 {};
@@ -582,12 +592,20 @@ TEST(MaskedVsNaive, ReadIntoMatchesPerBitReadBit)
 // word-parallel overrides and for the default per-lane loop alike.
 // ---------------------------------------------------------------------
 
+/** gtest prints a BatchCase as raw bytes at the end of each discovered
+ *  ctest name. The fixed integer fields lead and the name pointer,
+ *  whose value moves with ASLR, comes last, so a name cut short for
+ *  display reads the same in every build. */
 struct BatchCase
 {
-    const char *name;
+    BatchCase(const char *n, std::size_t b, std::size_t l, int r)
+        : bits(b), lanes(l), rounds(r), name(n)
+    {}
+
     std::size_t bits;
     std::size_t lanes;
     int rounds;
+    const char *name;
 };
 
 void
