@@ -36,9 +36,12 @@ main(int argc, char **argv)
                        "inversion-write amplification (512-bit "
                        "blocks)");
         std::vector<std::string> header{"scheme"};
-        for (double e : extras)
-            header.push_back("+" + TablePrinter::num(e, 2) +
-                             " writes");
+        for (double e : extras) {
+            std::string column = "+";
+            column += TablePrinter::num(e, 2);
+            column += " writes";
+            header.push_back(column);
+        }
         header.push_back("cost of default vs ideal");
         t.setHeader(header);
 

@@ -79,9 +79,6 @@ inline constexpr FlagSpec kCommonFlagSpecs[] = {
     {"jobs", FlagKind::Uint, "0",
      "Monte-Carlo worker threads (0 = one per hardware thread); "
      "output is identical for every value"},
-    {"batch", FlagKind::Uint, "8",
-     "block lives simulated per structure-of-arrays batch; "
-     "output is identical for every value"},
     {"shard", FlagKind::String, "",
      "compute only chunk-grid shard <index>/<count> (0-based) and "
      "record it in the --checkpoint file for aegis-sweep to merge; "
@@ -183,7 +180,6 @@ configFrom(const CliParser &cli, std::uint32_t block_bits)
         static_cast<std::uint32_t>(cli.getUint("labelings"));
     cfg.audit = cli.getBool("audit");
     cfg.jobs = static_cast<std::uint32_t>(cli.getUint("jobs"));
-    cfg.batch = static_cast<std::uint32_t>(cli.getUint("batch"));
     return cfg;
 }
 
@@ -230,7 +226,6 @@ configJson(const sim::ExperimentConfig &cfg)
                    JsonValue::uint(cfg.tracker.labelingSamples));
     o.emplace_back("audit", JsonValue::boolean(cfg.audit));
     o.emplace_back("jobs", JsonValue::uint(cfg.jobs));
-    o.emplace_back("batch", JsonValue::uint(cfg.batch));
     return o;
 }
 
@@ -356,11 +351,6 @@ class BenchRunner
             cliParser.getUint("jobs") == 0) {
             std::cerr << "error: --jobs must be at least 1 (omit the "
                          "flag for one worker per hardware thread)\n";
-            return 2;
-        }
-        if (flagSet == Flags::MonteCarlo && cliParser.isSet("batch") &&
-            cliParser.getUint("batch") == 0) {
-            std::cerr << "error: --batch must be at least 1\n";
             return 2;
         }
         if (cliParser.getBool("resume") &&
@@ -541,7 +531,7 @@ class BenchRunner
     flagsFingerprint() const
     {
         static constexpr std::string_view excluded[] = {
-            "seed",       "jobs",   "batch", "json",
+            "seed",       "jobs",   "json",
             "quiet",      "trace-timers", "csv",
             "checkpoint", "resume", "checkpoint-every",
             "deadline",   "trace-out", "trace-capacity",

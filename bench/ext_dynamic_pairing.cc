@@ -43,8 +43,11 @@ main(int argc, char **argv)
                        std::to_string(cli.getUint("pages")) +
                        " pages");
         std::vector<std::string> header{"scheme", "mode"};
-        for (std::size_t i = 2; i <= points; i += 2)
-            header.push_back("t" + std::to_string(i));
+        for (std::size_t i = 2; i <= points; i += 2) {
+            std::string column = "t";
+            column += std::to_string(i);
+            header.push_back(column);
+        }
         header.push_back("50%-capacity time (M)");
         t.setHeader(header);
 

@@ -51,57 +51,6 @@ BlockSimulator::run(Rng &cell_rng, Rng &sim_rng,
     rate.assign(n, wear.baseRate);
     healthy.assign(n, 1);
 
-    return runEventLoop(sim_rng, remaining.data(), rate.data(),
-                        stuck_value.data(), healthy.data(), n);
-}
-
-void
-BlockSimulator::runBatch(std::span<Rng> cell_rngs,
-                         std::span<Rng> sim_rngs,
-                         std::span<BlockLifeResult> results,
-                         BlockBatchWorkspace &ws) const
-{
-    const std::size_t lanes = cell_rngs.size();
-    AEGIS_REQUIRE(sim_rngs.size() == lanes && results.size() == lanes,
-                  "runBatch spans must agree on the lane count");
-    const std::size_t n = schemeProto.blockBits();
-
-    // Phase 1: fill every lane's cell population into the lane-major
-    // planes. Lane l consumes cell_rngs[l] in ascending cell order
-    // exactly as run() would, so populations are batch-invariant.
-    ws.remaining.resize(lanes * n);
-    ws.stuckValue.resize(lanes * n);
-    ws.rate.resize(lanes * n);
-    ws.healthy.resize(lanes * n);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        double *remaining = ws.remaining.data() + l * n;
-        char *stuck_value = ws.stuckValue.data() + l * n;
-        for (std::size_t i = 0; i < n; ++i) {
-            remaining[i] = lifetime.sample(cell_rngs[l]);
-            stuck_value[i] = cell_rngs[l].nextBool() ? 1 : 0;
-        }
-    }
-
-    // Phase 2: event loops, one lane at a time on that lane's
-    // segments. Each life keeps its own sim stream, so results and
-    // counter bump order match back-to-back run() calls.
-    for (std::size_t l = 0; l < lanes; ++l) {
-        AEGIS_TRACE_SCOPE(obs::Scope::BlockLife);
-        const std::size_t off = l * n;
-        std::fill_n(ws.rate.data() + off, n, wear.baseRate);
-        std::fill_n(ws.healthy.data() + off, n, char{1});
-        results[l] = runEventLoop(
-            sim_rngs[l], ws.remaining.data() + off,
-            ws.rate.data() + off, ws.stuckValue.data() + off,
-            ws.healthy.data() + off, n);
-    }
-}
-
-BlockLifeResult
-BlockSimulator::runEventLoop(Rng &sim_rng, double *remaining,
-                             double *rate, const char *stuck_value,
-                             char *healthy, std::size_t n) const
-{
     auto tracker = schemeProto.makeTracker(trackerOpts);
     BlockLifeResult result;
     double t = 0.0;
@@ -170,7 +119,7 @@ BlockSimulator::runEventLoop(Rng &sim_rng, double *remaining,
         }
 
         // Refresh wear rates for the new configuration.
-        std::fill_n(rate, n, wear.baseRate);
+        std::fill(rate.begin(), rate.end(), wear.baseRate);
         for (std::uint32_t pos : tracker->amplifiedCells()) {
             if (healthy[pos] != 0)
                 // aegis-lint: allow(DET-FLOAT per-life sequential fold; life order is fixed by the chunk grid)

@@ -24,7 +24,6 @@
 
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "pcm/lifetime_model.h"
@@ -52,21 +51,6 @@ struct WearModel
  * its proxy references cost measurably in the arg-min scan.)
  */
 struct BlockSimWorkspace
-{
-    std::vector<double> remaining;
-    std::vector<double> rate;
-    std::vector<char> stuckValue;
-    std::vector<char> healthy;
-};
-
-/**
- * Reusable lane-major scratch for BlockSimulator::runBatch: lane l of
- * a batch owns the contiguous segment [l*n, (l+1)*n) of every plane
- * (n = blockBits), the structure-of-arrays layout shared with the
- * data-plane batches (pcm::CellArrayBatch). One warmed workspace
- * serves any batch width; it carries no state between batches.
- */
-struct BlockBatchWorkspace
 {
     std::vector<double> remaining;
     std::vector<double> rate;
@@ -118,27 +102,7 @@ class BlockSimulator
     BlockLifeResult run(Rng &cell_rng, Rng &sim_rng,
                         BlockSimWorkspace &ws) const;
 
-    /**
-     * Run cell_rngs.size() independent lives as one
-     * structure-of-arrays batch: every lane's cell population is
-     * drawn into the lane-major planes first (one contiguous fill
-     * pass), then the event loops run on the lanes' segments. Lane l
-     * consumes cell_rngs[l] / sim_rngs[l] exactly as run() would, so
-     * results[l] — and the obs counters, bumped in lane order — are
-     * bit-identical to back-to-back run() calls for every batch
-     * width. The spans must agree on the lane count.
-     */
-    void runBatch(std::span<Rng> cell_rngs, std::span<Rng> sim_rngs,
-                  std::span<BlockLifeResult> results,
-                  BlockBatchWorkspace &ws) const;
-
   private:
-    /** The fault-to-fault event loop of one life over its (already
-     *  populated) cell arrays; shared by run() and runBatch(). */
-    BlockLifeResult runEventLoop(Rng &sim_rng, double *remaining,
-                                 double *rate, const char *stuck_value,
-                                 char *healthy, std::size_t n) const;
-
     const scheme::Scheme &schemeProto;
     const pcm::LifetimeModel &lifetime;
     WearModel wear;

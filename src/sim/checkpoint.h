@@ -301,17 +301,13 @@ class ScopedRunContext
  * chunk boundary, a final snapshot is written, and CancelledError is
  * raised for the harness to turn into a "partial" manifest.
  *
- * This is the range-body form — body(acc, begin, end) once per chunk
- * — for runners that batch consecutive items (the SoA block-life
- * batches). The chunk grid is unchanged, so a batch span never
- * crosses a chunk boundary and every checkpoint blob, timeline row
- * and merged study stays batch-size-invariant.
+ * body(acc, item) is invoked for every item of each computed chunk.
  */
-template <typename Study, typename RangeBody>
+template <typename Study, typename Body>
 Study
-runStudyUnitRanged(std::size_t items, unsigned jobs, StudyKind kind,
-                   std::uint64_t fingerprint, const RangeBody &body,
-                   std::size_t grain = kDefaultGrain)
+runStudyUnit(std::size_t items, unsigned jobs, StudyKind kind,
+             std::uint64_t fingerprint, const Body &body,
+             std::size_t grain = kDefaultGrain)
 {
     RunContext &ctx = activeRunContext();
     if (ctx.session == nullptr) {
@@ -323,7 +319,7 @@ runStudyUnitRanged(std::size_t items, unsigned jobs, StudyKind kind,
                             std::size_t n) {
                 obs::timelineChunkDone(c, n, acc.metrics);
             };
-        return parallelReduceRanged<Study>(
+        return parallelReduce<Study>(
             items, jobs, body, grain, ctx.cancel,
             obs::timelineEnabled() ? &chunk_done : nullptr);
     }
@@ -390,7 +386,8 @@ runStudyUnitRanged(std::size_t items, unsigned jobs, StudyKind kind,
             const std::size_t c = pending[pi];
             const std::size_t begin = c * grain;
             const std::size_t end = std::min(items, begin + grain);
-            body(partial[c], begin, end);
+            for (std::size_t i = begin; i < end; ++i)
+                body(partial[c], i);
             if (obs::timelineEnabled())
                 obs::timelineChunkDone(c, end - begin,
                                        partial[c].metrics);
@@ -427,18 +424,6 @@ runStudyUnitRanged(std::size_t items, unsigned jobs, StudyKind kind,
     serializeStudy(out, w);
     session.unitDone(w.take());
     return out;
-}
-
-/** Per-item form: body(acc, item) for every item, same guarantees. */
-template <typename Study, typename Body>
-Study
-runStudyUnit(std::size_t items, unsigned jobs, StudyKind kind,
-             std::uint64_t fingerprint, const Body &body,
-             std::size_t grain = kDefaultGrain)
-{
-    return runStudyUnitRanged<Study>(items, jobs, kind, fingerprint,
-                                     perItemRangeBody<Study>(body),
-                                     grain);
 }
 
 } // namespace aegis::sim

@@ -1,6 +1,5 @@
 #include "sim/experiment.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "aegis/factory.h"
@@ -134,8 +133,7 @@ runPageStudy(const ExperimentConfig &config)
 
     const BlockSimulator block_sim(*stack.scheme, *stack.lifetime,
                                    config.wear, config.tracker);
-    const PageSimulator page_sim(block_sim, geom.blocksPerPage(),
-                                 config.batch);
+    const PageSimulator page_sim(block_sim, geom.blocksPerPage());
 
     // Pages are independent Monte-Carlo lives on seed-derived RNG
     // streams; the chunk grid and merge order never depend on jobs,
@@ -185,45 +183,24 @@ runBlockStudy(const ExperimentConfig &config, std::uint32_t blocks)
     obs::ProgressReporter progress("blocks [" + stack.scheme->name() + "]",
                                    blocks, "blocks");
     beginStudyTimeline(stack.scheme->name(), "block_study", blocks);
-    const auto batch = std::max<std::size_t>(1, config.batch);
     BlockStudy study;
     try {
-        study = runStudyUnitRanged<BlockStudy>(
+        study = runStudyUnit<BlockStudy>(
             blocks, config.jobs, StudyKind::Block,
             unitFingerprint(config, StudyKind::Block, blocks,
                             kDefaultGrain),
-            [&](BlockStudy &acc, std::size_t begin, std::size_t end) {
+            [&](BlockStudy &acc, std::size_t b) {
                 const obs::ThreadMark before = obs::mark();
-                // Lane-major scratch per worker thread. Each life
-                // keeps its own master.split streams and a batch span
-                // never crosses the chunk boundary (the range is one
-                // chunk), so --batch is a throughput knob only.
-                static thread_local BlockBatchWorkspace ws;
-                static thread_local std::vector<Rng> cell_rngs;
-                static thread_local std::vector<Rng> sim_rngs;
-                static thread_local std::vector<BlockLifeResult> lives;
-                for (std::size_t b0 = begin; b0 < end; b0 += batch) {
-                    const std::size_t lanes =
-                        std::min(batch, end - b0);
-                    cell_rngs.clear();
-                    sim_rngs.clear();
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                        const std::size_t b = b0 + l;
-                        cell_rngs.push_back(master.split(2ull * b));
-                        sim_rngs.push_back(master.split(2ull * b + 1));
-                    }
-                    lives.assign(lanes, BlockLifeResult{});
-                    block_sim.runBatch(cell_rngs, sim_rngs, lives, ws);
-                    for (const BlockLifeResult &life : lives) {
-                        AEGIS_ASSERT(
-                            !life.immortal,
-                            "paper-scale blocks cannot be immortal");
-                        acc.blockLifetime.add(life.deathTime);
-                        acc.faultsAtDeath.add(life.faultsAtDeath);
-                    }
-                }
+                Rng cell_rng = master.split(2ull * b);
+                Rng sim_rng = master.split(2ull * b + 1);
+                const BlockLifeResult life =
+                    block_sim.run(cell_rng, sim_rng);
+                AEGIS_ASSERT(!life.immortal,
+                             "paper-scale blocks cannot be immortal");
+                acc.blockLifetime.add(life.deathTime);
+                acc.faultsAtDeath.add(life.faultsAtDeath);
                 acc.metrics.merge(obs::deltaSince(before));
-                progress.tick(end - begin);
+                progress.tick();
             });
     } catch (const CancelledError &ex) {
         progress.close(cancelOutcomeLabel(ex.reason()));
@@ -252,8 +229,7 @@ runMemorySurvival(const ExperimentConfig &config,
                              config.pages};
     const BlockSimulator block_sim(*stack.scheme, *stack.lifetime,
                                    config.wear, config.tracker);
-    const PageSimulator page_sim(block_sim, geom.blocksPerPage(),
-                                 config.batch);
+    const PageSimulator page_sim(block_sim, geom.blocksPerPage());
 
     const Rng master(config.seed);
     Rng workload_rng = master.split(0xffffffffull);

@@ -48,13 +48,6 @@ struct ExperimentConfig
      *  each page/block draws from its own seed-derived RNG stream and
      *  chunk accumulators merge in a jobs-independent order. */
     std::uint32_t jobs = 0;
-    /** Block lives driven per structure-of-arrays batch
-     *  (BlockSimulator::runBatch). Like @ref jobs a throughput knob
-     *  only, and like jobs excluded from checkpoint fingerprints:
-     *  every life keeps its own seed-derived RNG streams and batch
-     *  spans never cross the fixed chunk grid, so results are
-     *  bit-identical for every value (0 is treated as 1). */
-    std::uint32_t batch = 8;
 
     /** Structured factory spec of @ref scheme honouring @ref audit. */
     core::SchemeSpec schemeSpec() const { return schemeSpec(scheme); }

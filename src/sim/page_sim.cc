@@ -1,7 +1,7 @@
 #include "sim/page_sim.h"
 
 #include <algorithm>
-#include <span>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,10 +10,8 @@
 namespace aegis::sim {
 
 PageSimulator::PageSimulator(const BlockSimulator &block_sim,
-                             std::uint32_t blocks_per_page,
-                             std::uint32_t batch_lanes)
-    : blockSim(block_sim), blocksPerPage(blocks_per_page),
-      batchLanes(std::max<std::uint32_t>(1, batch_lanes))
+                             std::uint32_t blocks_per_page)
+    : blockSim(block_sim), blocksPerPage(blocks_per_page)
 {
     AEGIS_REQUIRE(blocks_per_page > 0, "a page needs at least one block");
 }
@@ -34,31 +32,15 @@ PageSimulator::runDetailed(const Rng &page_rng,
 {
     AEGIS_TRACE_SCOPE(obs::Scope::PageLife);
     blocks.clear();
-    blocks.resize(blocksPerPage);
-    // Lane-major batch scratch; per-thread because runDetailed is
-    // const and called concurrently by parallelFor workers.
-    static thread_local BlockBatchWorkspace batch_ws;
-    static thread_local std::vector<Rng> cell_rngs;
-    static thread_local std::vector<Rng> sim_rngs;
+    blocks.reserve(blocksPerPage);
     double death = std::numeric_limits<double>::infinity();
-    for (std::uint32_t b0 = 0; b0 < blocksPerPage; b0 += batchLanes) {
-        const std::uint32_t lanes =
-            std::min(batchLanes, blocksPerPage - b0);
-        cell_rngs.clear();
-        sim_rngs.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            // Stream ids: even = cell population, odd = sim noise —
-            // per block, independent of the batch grouping.
-            cell_rngs.push_back(page_rng.split(2ull * (b0 + l)));
-            sim_rngs.push_back(page_rng.split(2ull * (b0 + l) + 1));
-        }
-        blockSim.runBatch(
-            cell_rngs, sim_rngs,
-            std::span<BlockLifeResult>(blocks).subspan(b0, lanes),
-            batch_ws);
+    for (std::uint32_t b = 0; b < blocksPerPage; ++b) {
+        // Stream ids: even = cell population, odd = sim noise.
+        Rng cell_rng = page_rng.split(2ull * b);
+        Rng sim_rng = page_rng.split(2ull * b + 1);
+        blocks.push_back(blockSim.run(cell_rng, sim_rng));
+        death = std::min(death, blocks.back().deathTime);
     }
-    for (const BlockLifeResult &blk : blocks)
-        death = std::min(death, blk.deathTime);
 
     obs::bump(obs::Counter::PageLives);
     PageLifeResult result;

@@ -37,15 +37,9 @@ class PageSimulator
     /**
      * @param block_sim the per-block simulator driven for each block.
      * @param blocks_per_page data blocks per memory block (OS page).
-     * @param batch_lanes block lives driven per structure-of-arrays
-     *        batch (BlockSimulator::runBatch); a throughput knob
-     *        only — every block keeps its own page_rng.split streams,
-     *        so results are bit-identical for every value (0 is
-     *        treated as 1).
      */
     PageSimulator(const BlockSimulator &block_sim,
-                  std::uint32_t blocks_per_page,
-                  std::uint32_t batch_lanes = 1);
+                  std::uint32_t blocks_per_page);
 
     /**
      * Run one page life. @p page_rng is split per block into separate
@@ -67,7 +61,6 @@ class PageSimulator
   private:
     const BlockSimulator &blockSim;
     std::uint32_t blocksPerPage;
-    std::uint32_t batchLanes;
 };
 
 } // namespace aegis::sim

@@ -74,8 +74,7 @@ runPairingStudy(const ExperimentConfig &config, std::size_t points)
         config.lifetimeKind, config.lifetimeMean, config.lifetimeParam);
     const BlockSimulator block_sim(*scheme, *lifetime, config.wear,
                                    config.tracker);
-    const PageSimulator page_sim(block_sim, geom.blocksPerPage(),
-                                 config.batch);
+    const PageSimulator page_sim(block_sim, geom.blocksPerPage());
 
     // Per-page block death times.
     std::vector<std::vector<double>> page_deaths(config.pages);

@@ -55,16 +55,12 @@ void parallelFor(std::size_t chunks, unsigned jobs,
 inline constexpr std::size_t kDefaultGrain = 16;
 
 /**
- * Deterministic chunked reduction, range-body form: body(acc, begin,
- * end) is invoked once per chunk with that chunk's item sub-range,
- * accumulating into the chunk-local @p Result (default-constructed;
- * must provide merge()). Chunk results merge in chunk order. The
- * chunk grid depends only on @p items and @p grain — never on @p
- * jobs — so the returned Result is bit-identical for every jobs
- * value. Bodies that batch consecutive items (the SoA block-life
- * batches) use this form directly: a batch span never crosses a
- * chunk boundary, so per-chunk accumulators — and everything derived
- * from them (checkpoints, timelines) — are batch-size-invariant too.
+ * Deterministic chunked reduction: body(acc, item) is invoked for
+ * every item, accumulating into the chunk-local @p Result
+ * (default-constructed; must provide merge()). Chunk results merge in
+ * chunk order. The chunk grid depends only on @p items and @p grain —
+ * never on @p jobs — so the returned Result is bit-identical for every
+ * jobs value.
  *
  * When @p cancel fires, the workers drain at the next chunk boundary
  * and CancelledError is thrown: a reduction cannot return a partial
@@ -78,14 +74,14 @@ inline constexpr std::size_t kDefaultGrain = 16;
  * runners use to record per-chunk timelines. It must be thread-safe;
  * chunks complete in an arbitrary order.
  */
-template <typename Result, typename RangeBody>
+template <typename Result, typename Body>
 Result
-parallelReduceRanged(std::size_t items, unsigned jobs, RangeBody body,
-                     std::size_t grain = kDefaultGrain,
-                     const CancelToken *cancel = nullptr,
-                     const std::function<void(std::size_t, Result &,
-                                              std::size_t)> *chunk_done =
-                         nullptr)
+parallelReduce(std::size_t items, unsigned jobs, Body body,
+               std::size_t grain = kDefaultGrain,
+               const CancelToken *cancel = nullptr,
+               const std::function<void(std::size_t, Result &,
+                                        std::size_t)> *chunk_done =
+                   nullptr)
 {
     if (grain == 0)
         grain = 1;
@@ -96,7 +92,8 @@ parallelReduceRanged(std::size_t items, unsigned jobs, RangeBody body,
         [&](std::size_t c) {
             const std::size_t begin = c * grain;
             const std::size_t end = std::min(items, begin + grain);
-            body(partial[c], begin, end);
+            for (std::size_t i = begin; i < end; ++i)
+                body(partial[c], i);
             if (chunk_done != nullptr)
                 (*chunk_done)(c, partial[c], end - begin);
         },
@@ -107,33 +104,6 @@ parallelReduceRanged(std::size_t items, unsigned jobs, RangeBody body,
     for (Result &p : partial)
         out.merge(p);
     return out;
-}
-
-/** Adapt a per-item body(acc, item) into the range form; how
- *  parallelReduce/runStudyUnit lower onto their ranged counterparts. */
-template <typename Result, typename Body>
-auto
-perItemRangeBody(const Body &body)
-{
-    return [&body](Result &acc, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-            body(acc, i);
-    };
-}
-
-/** Per-item form: body(acc, item) for every item, same guarantees. */
-template <typename Result, typename Body>
-Result
-parallelReduce(std::size_t items, unsigned jobs, Body body,
-               std::size_t grain = kDefaultGrain,
-               const CancelToken *cancel = nullptr,
-               const std::function<void(std::size_t, Result &,
-                                        std::size_t)> *chunk_done =
-                   nullptr)
-{
-    return parallelReduceRanged<Result>(items, jobs,
-                                        perItemRangeBody<Result>(body),
-                                        grain, cancel, chunk_done);
 }
 
 } // namespace aegis

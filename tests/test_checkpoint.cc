@@ -321,7 +321,7 @@ PageStudy
 runToyUnit(CheckpointSession *session, CancelToken *cancel,
            unsigned jobs, std::size_t items, std::size_t cancelAfter)
 {
-    ScopedRunContext scoped(RunContext{session, cancel});
+    ScopedRunContext scoped(RunContext{session, cancel, {}, false});
     std::atomic<std::size_t> done{0};
     return runStudyUnit<PageStudy>(
         items, jobs, StudyKind::Page, /*fingerprint=*/0x5eed,
@@ -384,7 +384,7 @@ TEST(CheckpointSession, CompletedUnitRestoredWithoutExecution)
     CheckpointSession session(path.str(), "toy", 7, 42);
     ASSERT_TRUE(session.resume().ok());
     std::atomic<bool> executed{false};
-    ScopedRunContext scoped(RunContext{&session, nullptr});
+    ScopedRunContext scoped(RunContext{&session, nullptr, {}, false});
     const PageStudy restored = runStudyUnit<PageStudy>(
         32, 1, StudyKind::Page, 0x5eed,
         [&](PageStudy &, std::size_t) { executed = true; },
@@ -417,7 +417,7 @@ TEST(CheckpointSession, StaleIdentityRejected)
     {    // same session identity, different unit fingerprint
         CheckpointSession s(path.str(), "toy", 7, 42);
         ASSERT_TRUE(s.resume().ok());
-        ScopedRunContext scoped(RunContext{&s, nullptr});
+        ScopedRunContext scoped(RunContext{&s, nullptr, {}, false});
         EXPECT_THROW((void)runStudyUnit<PageStudy>(
                          32, 1, StudyKind::Page, 0xbad,
                          [](PageStudy &, std::size_t) {}, 4),
@@ -470,7 +470,7 @@ TEST(CheckpointSession, RunnersIntegrateWithRealStudies)
 
     TempPath path("real_study");
     CheckpointSession session(path.str(), "test", 1, config.seed);
-    ScopedRunContext scoped(RunContext{&session, nullptr});
+    ScopedRunContext scoped(RunContext{&session, nullptr, {}, false});
     const PageStudy viaSession = runPageStudy(config);
 
     BinaryWriter wg, ws;

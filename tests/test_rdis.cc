@@ -150,8 +150,9 @@ TEST(RdisSolver, DeeperRecursionSolvesMore)
             (rng.nextBool() ? wrong : right).push_back(pos);
         }
         RdisMarks m3, m4;
-        if (d3.solve(wrong, right, m3))
+        if (d3.solve(wrong, right, m3)) {
             EXPECT_TRUE(d4.solve(wrong, right, m4)) << "trial " << trial;
+        }
     }
 }
 

@@ -838,5 +838,91 @@ TEST(BatchFuzz, ScalarAndDispatchedBackendsBitIdentical)
     EXPECT_EQ(scalar, dispatched);
 }
 
+// ---------------------------------------------------------------------
+// Backend invariance through whole schemes: one scripted interleaving
+// of fault injections, writes and reads on the per-block path, run
+// under the forced scalar SIMD backend and under the dispatched one,
+// must end in bit-identical state. test_simd compares the kernels one
+// by one; this checks that nothing a scheme builds on them depends on
+// the backend.
+// ---------------------------------------------------------------------
+
+struct BackendCase
+{
+    const char *name;
+    std::size_t blockBits;
+};
+
+/**
+ * Run the script for @p c on @p backend and fingerprint everything it
+ * touched: write outcomes and decoded data after every write, then
+ * exported metadata, cell writes, the fault list and the obs counter
+ * deltas.
+ */
+std::string
+backendFingerprint(const BackendCase &c, const char *backend)
+{
+    constexpr std::size_t kBlocks = 6;
+    constexpr int kRounds = 24;
+    const std::string before = simd::backendName();
+    EXPECT_TRUE(simd::selectBackend(backend));
+
+    Rng rng(0xD15BA7C4ull);
+    std::vector<std::unique_ptr<scheme::Scheme>> schemes;
+    std::vector<pcm::CellArray> cells;
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+        schemes.push_back(core::makeScheme(c.name, c.blockBits));
+        cells.emplace_back(c.blockBits);
+    }
+    BitVector data;
+    BitVector decoded;
+    std::string fp;
+
+    const auto before_metrics = obs::mark();
+    for (int round = 0; round < kRounds; ++round) {
+        if (round > 1 && round % 3 == 0) {
+            const auto b = rng.nextBounded(kBlocks);
+            std::uint32_t pos = 0;
+            do {
+                pos = static_cast<std::uint32_t>(
+                    rng.nextBounded(c.blockBits));
+            } while (cells[b].isStuck(pos));
+            cells[b].injectFault(pos, rng.nextBool());
+        }
+        for (std::size_t b = 0; b < kBlocks; ++b) {
+            data = BitVector::random(c.blockBits, rng);
+            const scheme::WriteOutcome o = schemes[b]->write(cells[b], data);
+            fp += std::to_string(o.ok) + "," +
+                  std::to_string(o.programPasses) + "," +
+                  std::to_string(o.repartitions) + ";";
+            schemes[b]->readInto(cells[b], decoded);
+            fp += decoded.toString();
+        }
+    }
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+        fp += schemes[b]->exportMetadata().toString();
+        fp += std::to_string(cells[b].totalCellWrites()) + ";";
+        for (const pcm::Fault &f : cells[b].faults())
+            fp += std::to_string(f.pos) + (f.stuck ? "W" : "R");
+        fp += "|";
+    }
+    const obs::Metrics delta = obs::deltaSince(before_metrics);
+    for (std::size_t k = 0; k < obs::kCounterCount; ++k)
+        fp += std::to_string(delta.counters[k]) + ",";
+    EXPECT_TRUE(simd::selectBackend(before));
+    return fp;
+}
+
+TEST(SchemeBackends, ScalarAndDispatchedBackendsBitIdentical)
+{
+    for (const BackendCase &c : {BackendCase{"aegis-12x23", 256},
+                                 BackendCase{"safer32", 256},
+                                 BackendCase{"ecp4", 256}}) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EQ(backendFingerprint(c, "scalar"),
+                  backendFingerprint(c, "auto"));
+    }
+}
+
 } // namespace
 } // namespace aegis

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "aegis/factory.h"
-#include "obs/metrics.h"
 #include "sim/experiment.h"
 #include "sim/page_sim.h"
 
@@ -120,112 +119,6 @@ TEST(BlockSim, WearAmplificationShortensLifetime)
         sum_i += sim_i.run(c2, si).deathTime;
     }
     EXPECT_LT(sum_a, sum_i);
-}
-
-TEST(BlockSim, BatchMatchesSequentialLives)
-{
-    // One SoA batch must reproduce back-to-back run() calls exactly:
-    // per-life results and the obs counter totals.
-    auto scheme = core::makeScheme("aegis-12x23", 256);
-    auto lifetime = testLifetime();
-    const BlockSimulator sim(*scheme, *lifetime, {}, {});
-
-    constexpr std::size_t kLanes = 5;
-    std::vector<BlockLifeResult> ref(kLanes);
-    const obs::ThreadMark ref_mark = obs::mark();
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        Rng c(100 + l), s(200 + l);
-        ref[l] = sim.run(c, s);
-    }
-    const obs::Metrics ref_delta = obs::deltaSince(ref_mark);
-
-    std::vector<Rng> cell_rngs, sim_rngs;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        cell_rngs.emplace_back(100 + l);
-        sim_rngs.emplace_back(200 + l);
-    }
-    std::vector<BlockLifeResult> got(kLanes);
-    BlockBatchWorkspace ws;
-    const obs::ThreadMark got_mark = obs::mark();
-    sim.runBatch(cell_rngs, sim_rngs, got, ws);
-    const obs::Metrics got_delta = obs::deltaSince(got_mark);
-
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(ref[l].deathTime, got[l].deathTime) << "lane " << l;
-        EXPECT_EQ(ref[l].faultsAtDeath, got[l].faultsAtDeath);
-        EXPECT_EQ(ref[l].faultTimes, got[l].faultTimes);
-        EXPECT_EQ(ref[l].repartitions, got[l].repartitions);
-        EXPECT_EQ(ref[l].immortal, got[l].immortal);
-    }
-    for (std::size_t c = 0; c < obs::kCounterCount; ++c)
-        EXPECT_EQ(ref_delta.counters[c], got_delta.counters[c])
-            << obs::counterName(static_cast<obs::Counter>(c));
-}
-
-TEST(PageSim, BatchWidthInvariance)
-{
-    // 8 blocks per page over widths that divide, exceed and straddle
-    // the page: every width must yield the same page life.
-    auto scheme = core::makeScheme("safer32", 512);
-    auto lifetime = testLifetime();
-    const BlockSimulator block_sim(*scheme, *lifetime, {}, {});
-    const Rng page_rng(42);
-
-    const PageSimulator base(block_sim, 8, 1);
-    std::vector<BlockLifeResult> base_blocks;
-    const PageLifeResult want = base.runDetailed(page_rng, base_blocks);
-
-    for (const std::uint32_t width : {0u, 3u, 8u, 16u}) {
-        const PageSimulator batched(block_sim, 8, width);
-        std::vector<BlockLifeResult> blocks;
-        const PageLifeResult got = batched.runDetailed(page_rng, blocks);
-        EXPECT_EQ(want.deathTime, got.deathTime) << "width " << width;
-        EXPECT_EQ(want.faultsRecovered, got.faultsRecovered);
-        EXPECT_EQ(want.repartitions, got.repartitions);
-        ASSERT_EQ(base_blocks.size(), blocks.size());
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            EXPECT_EQ(base_blocks[b].deathTime, blocks[b].deathTime);
-            EXPECT_EQ(base_blocks[b].faultTimes, blocks[b].faultTimes);
-        }
-    }
-}
-
-TEST(Experiment, StudiesAreBatchInvariant)
-{
-    // --batch is a throughput knob: studies (stats and counter
-    // slots alike) are bit-identical for every value, including
-    // widths that straddle the grain-16 chunk grid.
-    ExperimentConfig cfg;
-    cfg.scheme = "aegis-12x23";
-    cfg.blockBits = 256;
-    cfg.pages = 12;
-    cfg.pageBytes = 1024;
-    cfg.lifetimeMean = 1e6;
-
-    cfg.batch = 1;
-    const PageStudy page_a = runPageStudy(cfg);
-    const BlockStudy block_a = runBlockStudy(cfg, 40);
-    cfg.batch = 5;
-    const PageStudy page_b = runPageStudy(cfg);
-    const BlockStudy block_b = runBlockStudy(cfg, 40);
-
-    EXPECT_EQ(page_a.pageLifetime.mean(), page_b.pageLifetime.mean());
-    EXPECT_EQ(page_a.recoverableFaults.mean(),
-              page_b.recoverableFaults.mean());
-    EXPECT_EQ(page_a.repartitions.mean(), page_b.repartitions.mean());
-    EXPECT_EQ(block_a.blockLifetime.mean(), block_b.blockLifetime.mean());
-    EXPECT_EQ(block_a.blockLifetime.count(),
-              block_b.blockLifetime.count());
-    for (std::int64_t f = 0; f <= 32; ++f)
-        EXPECT_EQ(block_a.failureProbabilityAt(f),
-                  block_b.failureProbabilityAt(f));
-    for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
-        EXPECT_EQ(page_a.metrics.counters[c], page_b.metrics.counters[c])
-            << obs::counterName(static_cast<obs::Counter>(c));
-        EXPECT_EQ(block_a.metrics.counters[c],
-                  block_b.metrics.counters[c])
-            << obs::counterName(static_cast<obs::Counter>(c));
-    }
 }
 
 TEST(PageSim, DeathIsMinOfBlocksAndCountsPriorFaults)

@@ -230,9 +230,10 @@ TEST(ShardReport, MalformedInputRejected)
         const Expected<std::vector<obs::ShardEntry>> r =
             sweep::decodeShardReport(bad, "r.txt");
         EXPECT_FALSE(r.ok()) << "accepted: " << bad;
-        if (!r.ok())
+        if (!r.ok()) {
             EXPECT_NE(r.error().find("r.txt"), std::string::npos)
                 << r.error();
+        }
     }
 }
 
@@ -333,7 +334,8 @@ TEST(Merge, ShardsReassembleAndResumeBitIdentical)
     sim::CheckpointSession session(mergedPath, "toy", 7, 42);
     ASSERT_TRUE(session.resume().ok());
     std::atomic<bool> executed{false};
-    sim::ScopedRunContext scoped(sim::RunContext{&session, nullptr});
+    sim::ScopedRunContext scoped(
+        sim::RunContext{&session, nullptr, {}, false});
     const sim::PageStudy restored = sim::runStudyUnit<sim::PageStudy>(
         kToyItems, 4, sim::StudyKind::Page, kToyFingerprint,
         [&](sim::PageStudy &, std::size_t) { executed = true; },
