@@ -15,9 +15,7 @@
 #include "aegis/aegis_scheme.h"
 #include "aegis/factory.h"
 #include "aegis/partition.h"
-#include "pcm/cell_array_batch.h"
 #include "pcm/fail_cache.h"
-#include "scheme/batch.h"
 #include "scheme/inversion_driver.h"
 #include "sim/device.h"
 #include "util/rng.h"
@@ -182,97 +180,6 @@ BM_CellArrayReadInto(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/**
- * Batched SoA data plane: one Scheme::writeBatch / readBatch call
- * drives kBatchLanes block-lives per iteration, so per-block cost is
- * cpu_ns_per_iter / kBatchLanes (items_processed counts blocks and
- * makes items/sec directly comparable to BM_Write / BM_Read).
- */
-constexpr std::size_t kBatchLanes = 16;
-
-struct BatchRig
-{
-    std::shared_ptr<pcm::OracleFaultDirectory> dir;
-    std::unique_ptr<scheme::Scheme> proto;
-    pcm::CellArrayBatch cells;
-    scheme::BatchWorkspace ws;
-    std::vector<pcm::LaneMatrix> patterns;
-    std::vector<scheme::WriteOutcome> outcomes;
-
-    BatchRig(const std::string &name, std::size_t block_bits,
-             std::size_t faults_per_lane)
-        : dir(std::make_shared<pcm::OracleFaultDirectory>()),
-          proto(core::makeScheme(name, block_bits)),
-          cells(block_bits, kBatchLanes,
-                pcm::CellArrayBatch::WearTracking::PerLaneTotal),
-          outcomes(kBatchLanes)
-    {
-        ws.bind(*proto, kBatchLanes);
-        Rng rng(42);
-        for (std::size_t l = 0; l < kBatchLanes; ++l) {
-            ws.laneScheme(l)->attachDirectory(dir.get(), l);
-            for (std::size_t f = 0; f < faults_per_lane; ++f) {
-                std::uint32_t pos;
-                do {
-                    pos = static_cast<std::uint32_t>(
-                        rng.nextBounded(block_bits));
-                } while (cells.isStuck(l, pos));
-                const bool stuck = rng.nextBool();
-                cells.injectFault(l, pos, stuck);
-                dir->record(l, {pos, stuck});
-            }
-        }
-        for (int i = 0; i < 8; ++i) {
-            patterns.emplace_back(block_bits, kBatchLanes);
-            for (std::size_t l = 0; l < kBatchLanes; ++l)
-                patterns.back().loadLane(
-                    l, BitVector::random(block_bits, rng));
-        }
-    }
-};
-
-void
-BM_BatchWrite(benchmark::State &state, const std::string &name,
-              std::size_t faults_per_lane)
-{
-    BatchRig rig(name, 512, faults_per_lane);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        rig.proto->writeBatch(rig.cells,
-                              rig.patterns[i++ % rig.patterns.size()],
-                              rig.outcomes, rig.ws);
-        benchmark::DoNotOptimize(rig.outcomes.data());
-        for (const auto &o : rig.outcomes) {
-            if (!o.ok)
-                state.SkipWithError("block died during benchmark");
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * kBatchLanes));
-}
-
-void
-BM_BatchRead(benchmark::State &state, const std::string &name,
-             std::size_t faults_per_lane)
-{
-    BatchRig rig(name, 512, faults_per_lane);
-    rig.proto->writeBatch(rig.cells, rig.patterns[0], rig.outcomes,
-                          rig.ws);
-    for (const auto &o : rig.outcomes) {
-        if (!o.ok) {
-            state.SkipWithError("seed write failed");
-            return;
-        }
-    }
-    pcm::LaneMatrix out;
-    for (auto _ : state) {
-        rig.proto->readBatch(rig.cells, out, rig.ws);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * kBatchLanes));
-}
-
 } // namespace
 
 BENCHMARK_CAPTURE(BM_Write, aegis_23x23_clean, "aegis-23x23", 0u);
@@ -299,34 +206,6 @@ BENCHMARK_CAPTURE(BM_Read, aegis_rw_23x23_4faults, "aegis-rw-23x23",
 BENCHMARK_CAPTURE(BM_Read, aegis_rw_p4_23x23_4faults,
                   "aegis-rw-p4-23x23", 4u);
 BENCHMARK_CAPTURE(BM_Read, safer32_4faults, "safer32", 4u);
-
-// Batched SoA rows mirror the per-block captures (ns per block is
-// cpu_ns_per_iter / 16): the word-parallel overrides, the cache
-// variants that delegate to the default per-lane loop, and two
-// default-loop schemes as the no-override reference.
-BENCHMARK_CAPTURE(BM_BatchWrite, aegis_23x23_clean, "aegis-23x23", 0u);
-BENCHMARK_CAPTURE(BM_BatchWrite, aegis_23x23_4faults, "aegis-23x23",
-                  4u);
-BENCHMARK_CAPTURE(BM_BatchWrite, aegis_9x61_clean, "aegis-9x61", 0u);
-BENCHMARK_CAPTURE(BM_BatchWrite, aegis_9x61_8faults, "aegis-9x61", 8u);
-BENCHMARK_CAPTURE(BM_BatchWrite, aegis_rw_23x23_4faults,
-                  "aegis-rw-23x23", 4u);
-BENCHMARK_CAPTURE(BM_BatchWrite, safer32_clean, "safer32", 0u);
-BENCHMARK_CAPTURE(BM_BatchWrite, safer32_4faults, "safer32", 4u);
-BENCHMARK_CAPTURE(BM_BatchWrite, ecp6_4faults, "ecp6", 4u);
-BENCHMARK_CAPTURE(BM_BatchWrite, none_clean, "none", 0u);
-BENCHMARK_CAPTURE(BM_BatchWrite, rdis3_2faults, "rdis3", 2u);
-// One fault per lane: across 16 lanes the two-fault draw used by the
-// per-block row lands an uncorrectable SEC pair in some lane.
-BENCHMARK_CAPTURE(BM_BatchWrite, hamming_1fault, "hamming", 1u);
-
-BENCHMARK_CAPTURE(BM_BatchRead, aegis_9x61_8faults, "aegis-9x61", 8u);
-BENCHMARK_CAPTURE(BM_BatchRead, aegis_rw_23x23_4faults,
-                  "aegis-rw-23x23", 4u);
-// 8 faults rather than the per-block row's 4: more set inversion
-// groups per lane keeps the row's magnitude large enough for the
-// 25%-tolerance perf gate on noisy shared runners.
-BENCHMARK_CAPTURE(BM_BatchRead, safer32_8faults, "safer32", 8u);
 
 BENCHMARK(BM_GroupInversionMasked);
 BENCHMARK(BM_GroupInversionNaive);

@@ -8,8 +8,6 @@
 #include "aegis/trackers.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pcm/cell_array_batch.h"
-#include "scheme/batch.h"
 #include "util/error.h"
 
 namespace aegis::core {
@@ -128,32 +126,6 @@ AegisScheme::write(pcm::CellArray &cells, const BitVector &data)
         }
     }
     return outcome;
-}
-
-AEGIS_HOT void
-AegisScheme::writeBatch(pcm::CellArrayBatch &cells,
-                        const pcm::LaneMatrix &data,
-                        std::span<scheme::WriteOutcome> outcomes,
-                        scheme::BatchWorkspace &ws)
-{
-    scheme::detail::inversionWriteBatch(
-        *this, cells, data, outcomes, ws, cacheMode,
-        [](AegisScheme *s) -> BitVector & { return s->invVector; });
-}
-
-AEGIS_HOT void
-AegisScheme::readBatch(const pcm::CellArrayBatch &cells,
-                       pcm::LaneMatrix &out,
-                       scheme::BatchWorkspace &ws) const
-{
-    scheme::detail::inversionReadBatch(
-        *this, cells, out, ws,
-        [](const AegisScheme *s) -> const BitVector & {
-            return s->invVector;
-        },
-        [](const AegisScheme *s, std::size_t g) {
-            return s->policy.groupMask(g);
-        });
 }
 
 BitVector

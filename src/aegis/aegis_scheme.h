@@ -101,16 +101,6 @@ class AegisScheme : public scheme::Scheme
     BitVector read(const pcm::CellArray &cells) const override;
     AEGIS_HOT void readInto(const pcm::CellArray &cells,
                             BitVector &out) const override;
-    /** Lane-parallel fast path for speculatively clean lanes (see
-     *  scheme::detail::inversionWriteBatch); aegis-cache stages
-     *  per-block. */
-    AEGIS_HOT void writeBatch(pcm::CellArrayBatch &cells,
-                              const pcm::LaneMatrix &data,
-                              std::span<scheme::WriteOutcome> outcomes,
-                              scheme::BatchWorkspace &ws) override;
-    AEGIS_HOT void readBatch(const pcm::CellArrayBatch &cells,
-                             pcm::LaneMatrix &out,
-                             scheme::BatchWorkspace &ws) const override;
     void reset() override;
     std::unique_ptr<scheme::Scheme> clone() const override;
 

@@ -96,10 +96,6 @@ class CellArray
     void reset();
 
   private:
-    /** The batch container mirrors these planes lane-major and moves
-     *  whole lanes in and out (extractLane/depositLane). */
-    friend class CellArrayBatch;
-
     BitVector stored;
     BitVector stuckMask;
     BitVector stuckValue;

@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "pcm/cell_array_batch.h"
-#include "scheme/batch.h"
 #include "util/bit_io.h"
 
 #include "obs/metrics.h"
@@ -129,75 +127,6 @@ EcpScheme::write(pcm::CellArray &cells, const BitVector &data)
     });
     outcome.ok = !exhausted;
     return outcome;
-}
-
-AEGIS_HOT void
-EcpScheme::writeBatch(pcm::CellArrayBatch &cells,
-                      const pcm::LaneMatrix &data,
-                      std::span<WriteOutcome> outcomes,
-                      BatchWorkspace &ws)
-{
-    AEGIS_REQUIRE(cells.cellsPerLane() == bits &&
-                      data.bitsPerLane() == bits &&
-                      data.lanes() == cells.lanes(),
-                  "batch geometry must match the scheme");
-    AEGIS_REQUIRE(outcomes.size() == cells.lanes(),
-                  "one WriteOutcome per lane required");
-    AEGIS_TRACE_SCOPE(obs::Scope::SchemeWrite);
-    const std::size_t lanes = cells.lanes();
-    ws.bind(*this, lanes);
-    cells.speculativeMismatches(data, ws.mismatchScratch.data());
-
-    // A lane with no allocated entries and no conflicting stuck cell
-    // behaves exactly like the unprotected write: refresh loop is a
-    // no-op, one program pass, verify comes back clean, no pointer
-    // consumed. Those lanes commit as contiguous kernel runs; every
-    // other lane stages through the per-block path.
-    const auto fastLane = [&](std::size_t l) {
-        const auto *ls = static_cast<const EcpScheme *>(ws.laneScheme(l));
-        return ls->entries.empty() && ws.mismatchScratch[l] == 0;
-    };
-    std::size_t l = 0;
-    while (l < lanes) {
-        if (!fastLane(l)) {
-            pcm::CellArray &staging = ws.stagingArray();
-            cells.extractLane(l, staging);
-            data.storeLane(l, ws.dataScratch);
-            outcomes[l] = ws.laneScheme(l)->write(staging, ws.dataScratch);
-            cells.depositLane(l, staging);
-            ++l;
-            continue;
-        }
-        std::size_t run = l + 1;
-        while (run < lanes && fastLane(run))
-            ++run;
-        cells.writeDifferentialLanes(data, l, run - l,
-                                     ws.programmedScratch.data() + l);
-        for (; l < run; ++l) {
-            WriteOutcome o;
-            o.ok = true;
-            o.programPasses = 1;
-            o.io.programPasses = 1;
-            o.io.verifyReads = 1;
-            outcomes[l] = o;
-        }
-    }
-}
-
-AEGIS_HOT void
-EcpScheme::readBatch(const pcm::CellArrayBatch &cells,
-                     pcm::LaneMatrix &out, BatchWorkspace &ws) const
-{
-    AEGIS_REQUIRE(cells.cellsPerLane() == bits,
-                  "batch geometry must match the scheme");
-    AEGIS_TRACE_SCOPE(obs::Scope::SchemeRead);
-    ws.bind(*this, cells.lanes());
-    cells.readAllInto(out);
-    for (std::size_t l = 0; l < cells.lanes(); ++l) {
-        const auto *ls = static_cast<const EcpScheme *>(ws.laneScheme(l));
-        for (const Entry &e : ls->entries)
-            out.setBit(l, e.pos, e.replacement);
-    }
 }
 
 BitVector

@@ -1,7 +1,5 @@
 #include "scheme/none.h"
 
-#include "pcm/cell_array_batch.h"
-#include "scheme/batch.h"
 #include "util/error.h"
 
 namespace aegis::scheme {
@@ -53,48 +51,6 @@ NoneScheme::write(pcm::CellArray &cells, const BitVector &data)
     outcome.io.verifyReads = 1;
     outcome.ok = readbackWs.equals(data);
     return outcome;
-}
-
-AEGIS_HOT void
-NoneScheme::writeBatch(pcm::CellArrayBatch &cells,
-                       const pcm::LaneMatrix &data,
-                       std::span<WriteOutcome> outcomes,
-                       BatchWorkspace &ws)
-{
-    AEGIS_REQUIRE(cells.cellsPerLane() == bits &&
-                      data.bitsPerLane() == bits &&
-                      data.lanes() == cells.lanes(),
-                  "batch geometry must match the scheme");
-    AEGIS_REQUIRE(outcomes.size() == cells.lanes(),
-                  "one WriteOutcome per lane required");
-    const std::size_t lanes = cells.lanes();
-    if (ws.mismatchScratch.size() != lanes) {
-        ws.mismatchScratch.assign(lanes, 0);
-        ws.programmedScratch.assign(lanes, 0);
-    }
-    // The unprotected scheme has no per-lane metadata, so the whole
-    // batch is one classification pass plus one commit pass; a lane's
-    // write succeeded exactly when no stuck cell conflicted.
-    cells.speculativeMismatches(data, ws.mismatchScratch.data());
-    cells.writeDifferentialLanes(data, 0, lanes,
-                                 ws.programmedScratch.data());
-    for (std::size_t l = 0; l < lanes; ++l) {
-        WriteOutcome o;
-        o.ok = ws.mismatchScratch[l] == 0;
-        o.programPasses = 1;
-        o.io.programPasses = 1;
-        o.io.verifyReads = 1;
-        outcomes[l] = o;
-    }
-}
-
-AEGIS_HOT void
-NoneScheme::readBatch(const pcm::CellArrayBatch &cells,
-                      pcm::LaneMatrix &out, BatchWorkspace &) const
-{
-    AEGIS_REQUIRE(cells.cellsPerLane() == bits,
-                  "batch geometry must match the scheme");
-    cells.readAllInto(out);
 }
 
 BitVector

@@ -36,15 +36,6 @@ class NoneScheme : public Scheme
     BitVector read(const pcm::CellArray &cells) const override;
     AEGIS_HOT void readInto(const pcm::CellArray &cells,
                             BitVector &out) const override;
-    /** Fully lane-parallel: one classification pass plus one
-     *  differential-commit pass over the whole batch. */
-    AEGIS_HOT void writeBatch(pcm::CellArrayBatch &cells,
-                              const pcm::LaneMatrix &data,
-                              std::span<WriteOutcome> outcomes,
-                              BatchWorkspace &ws) override;
-    AEGIS_HOT void readBatch(const pcm::CellArrayBatch &cells,
-                             pcm::LaneMatrix &out,
-                             BatchWorkspace &ws) const override;
     void reset() override {}
     std::unique_ptr<Scheme> clone() const override;
 

@@ -8,8 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pcm/cell_array_batch.h"
-#include "scheme/batch.h"
 #include "util/error.h"
 
 namespace aegis::scheme {
@@ -349,31 +347,6 @@ SaferScheme::write(pcm::CellArray &cells, const BitVector &data)
         }
     }
     return outcome;
-}
-
-AEGIS_HOT void
-SaferScheme::writeBatch(pcm::CellArrayBatch &cells,
-                        const pcm::LaneMatrix &data,
-                        std::span<WriteOutcome> outcomes,
-                        BatchWorkspace &ws)
-{
-    detail::inversionWriteBatch(
-        *this, cells, data, outcomes, ws, cacheMode,
-        [](SaferScheme *s) -> BitVector & { return s->invVector; });
-}
-
-AEGIS_HOT void
-SaferScheme::readBatch(const pcm::CellArrayBatch &cells,
-                       pcm::LaneMatrix &out, BatchWorkspace &ws) const
-{
-    detail::inversionReadBatch(
-        *this, cells, out, ws,
-        [](const SaferScheme *s) -> const BitVector & {
-            return s->invVector;
-        },
-        [](const SaferScheme *s, std::size_t g) {
-            return s->part.groupMask(g);
-        });
 }
 
 BitVector

@@ -103,16 +103,6 @@ class SaferScheme : public Scheme
     BitVector read(const pcm::CellArray &cells) const override;
     AEGIS_HOT void readInto(const pcm::CellArray &cells,
                             BitVector &out) const override;
-    /** Lane-parallel fast path for speculatively clean lanes (see
-     *  scheme::detail::inversionWriteBatch); SAFER-cache stages
-     *  per-block. */
-    AEGIS_HOT void writeBatch(pcm::CellArrayBatch &cells,
-                              const pcm::LaneMatrix &data,
-                              std::span<WriteOutcome> outcomes,
-                              BatchWorkspace &ws) override;
-    AEGIS_HOT void readBatch(const pcm::CellArrayBatch &cells,
-                             pcm::LaneMatrix &out,
-                             BatchWorkspace &ws) const override;
     void reset() override;
     std::unique_ptr<Scheme> clone() const override;
 

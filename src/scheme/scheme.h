@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "pcm/cell_array.h"
@@ -24,14 +23,7 @@
 #include "scheme/tracker.h"
 #include "util/bit_vector.h"
 
-namespace aegis::pcm {
-class CellArrayBatch;
-class LaneMatrix;
-} // namespace aegis::pcm
-
 namespace aegis::scheme {
-
-class BatchWorkspace;
 
 /**
  * Per-operation breakdown of a scheme's ancillary I/O: the array,
@@ -93,9 +85,8 @@ class Scheme
     virtual ~Scheme() = default;
 
     /** Human-readable identifier, e.g. "aegis-9x61" or "safer64".
-     *  Returns a reference to storage owned by the scheme: the name is
-     *  fixed at construction, and hot-path callers (the batch
-     *  workspace rebind check) compare it without allocating. */
+     *  The name is fixed at construction and returned by reference to
+     *  storage the scheme owns, so callers read it without a copy. */
     virtual const std::string &name() const = 0;
 
     /** Size of the protected data block in bits. */
@@ -130,32 +121,6 @@ class Scheme
     {
         out.assignFrom(read(cells));
     }
-
-    /**
-     * Service one write per lane of @p cells from the matching lane of
-     * @p data. Lane l's metadata lives in ws.laneScheme(l) — a clone
-     * of this scheme that ws maintains across calls — so this object's
-     * own metadata never moves; callers must keep using the same
-     * workspace (and consult its lane schemes, not *this) for the
-     * whole batch's lifetime. outcomes.size() must equal
-     * cells.lanes(). The default implementation loops the per-block
-     * write() through a staging CellArray, so every scheme is batch-
-     * callable; word-parallel schemes override it with lane-parallel
-     * kernel passes that produce bit-identical state, wear and
-     * counters (the fuzz oracle enforces this).
-     */
-    virtual void writeBatch(pcm::CellArrayBatch &cells,
-                            const pcm::LaneMatrix &data,
-                            std::span<WriteOutcome> outcomes,
-                            BatchWorkspace &ws);
-
-    /**
-     * Decode every lane of @p cells into @p out using the per-lane
-     * metadata in @p ws (see writeBatch). Resizes @p out on first use.
-     */
-    virtual void readBatch(const pcm::CellArrayBatch &cells,
-                           pcm::LaneMatrix &out,
-                           BatchWorkspace &ws) const;
 
     /** Clear metadata for reuse on a fresh block. */
     virtual void reset() = 0;

@@ -4,12 +4,10 @@
  *
  * This is the single home for explicit vectorization in the project:
  * a small fixed vocabulary of kernels (xor / andnot / select /
- * popcount / first-mismatch over contiguous word spans, plus strided
- * per-lane variants for structure-of-arrays batches) behind one
+ * popcount / first-mismatch over contiguous word spans) behind one
  * function-pointer table. BitVector's in-place word operations and
  * CellArray's read/differential-write paths are thin wrappers over
- * these kernels; pcm::CellArrayBatch drives the strided variants over
- * whole lane groups.
+ * these kernels.
  *
  * Backend selection happens once at startup: AVX2 when both the build
  * and the CPU support it, portable scalar otherwise. The environment
@@ -34,9 +32,7 @@ namespace aegis::simd {
  * One backend's kernel table. All spans are in 64-bit words; callers
  * pass word counts, never bit counts. Distinct operand spans must not
  * overlap (a span may alias itself as dst, as the in-place signatures
- * show). The strided lane kernels view memory as @p lanes consecutive
- * spans of @p words_per_lane words, each lane starting @p lane_stride
- * words after the previous one (lane_stride >= words_per_lane).
+ * show).
  */
 struct Backend
 {
@@ -80,19 +76,6 @@ struct Backend
     std::size_t (*firstMismatchWords)(const std::uint64_t *a,
                                       const std::uint64_t *b,
                                       std::size_t n);
-
-    /** out[l] = popcount over lane l's span (strided SoA variant). */
-    void (*popcountLanes)(const std::uint64_t *w,
-                          std::size_t words_per_lane,
-                          std::size_t lane_stride, std::size_t lanes,
-                          std::size_t *out);
-
-    /** out[l] = Hamming distance between lane l of @p a and of @p b. */
-    void (*xorPopcountLanes)(const std::uint64_t *a,
-                             const std::uint64_t *b,
-                             std::size_t words_per_lane,
-                             std::size_t lane_stride, std::size_t lanes,
-                             std::size_t *out);
 };
 
 namespace detail {
@@ -162,21 +145,6 @@ inline std::size_t
 firstMismatchWords(const std::uint64_t *a, const std::uint64_t *b,
                    std::size_t n)
 { return backend().firstMismatchWords(a, b, n); }
-
-inline void
-popcountLanes(const std::uint64_t *w, std::size_t words_per_lane,
-              std::size_t lane_stride, std::size_t lanes,
-              std::size_t *out)
-{ backend().popcountLanes(w, words_per_lane, lane_stride, lanes, out); }
-
-inline void
-xorPopcountLanes(const std::uint64_t *a, const std::uint64_t *b,
-                 std::size_t words_per_lane, std::size_t lane_stride,
-                 std::size_t lanes, std::size_t *out)
-{
-    backend().xorPopcountLanes(a, b, words_per_lane, lane_stride, lanes,
-                               out);
-}
 
 } // namespace aegis::simd
 

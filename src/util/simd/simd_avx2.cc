@@ -154,31 +154,11 @@ firstMismatchWords(const std::uint64_t *a, const std::uint64_t *b,
     return n;
 }
 
-AEGIS_HOT void
-popcountLanes(const std::uint64_t *w, std::size_t words_per_lane,
-              std::size_t lane_stride, std::size_t lanes,
-              std::size_t *out)
-{
-    for (std::size_t l = 0; l < lanes; ++l)
-        out[l] = popcountWords(w + l * lane_stride, words_per_lane);
-}
-
-AEGIS_HOT void
-xorPopcountLanes(const std::uint64_t *a, const std::uint64_t *b,
-                 std::size_t words_per_lane, std::size_t lane_stride,
-                 std::size_t lanes, std::size_t *out)
-{
-    for (std::size_t l = 0; l < lanes; ++l) {
-        out[l] = xorPopcountWords(a + l * lane_stride,
-                                  b + l * lane_stride, words_per_lane);
-    }
-}
-
 const Backend kAvx2Backend = {
     "avx2",         &xorWords,         &orWords,
     &andWords,      &andNotWords,      &xorAndNotWords,
     &selectWords,   &popcountWords,    &xorPopcountWords,
-    &firstMismatchWords, &popcountLanes, &xorPopcountLanes,
+    &firstMismatchWords,
 };
 
 } // namespace

@@ -9,13 +9,10 @@
 # fails on any discovered name that still holds raw bytes.
 #
 # Giving a struct a PrintTo renames every test of its suite, so the
-# suites below move over one change at a time (ROADMAP item 1) and are
+# suite below moves over in its own change (ROADMAP item 1b) and is
 # let through until then. The list may only shrink:
 #   PaperFormations/PartitionTheorems  Formation, three integers: the
 #                                      bytes are fixed, only unreadable
-#   Schemes/TrackerCrossValidation     Case (holds a const char *)
-#   Schemes/BatchFuzz                  BatchCase (holds a const char *);
-#                                      leaves with the batch data plane
 #
 # Usage: ctest_names_test.sh <ctest-binary> <build-dir>
 
@@ -34,7 +31,7 @@ if [ "$TOTAL" -eq 0 ]; then
     exit 1
 fi
 
-PENDING=': (PaperFormations/PartitionTheorems|Schemes/TrackerCrossValidation|Schemes/BatchFuzz)\.'
+PENDING=': PaperFormations/PartitionTheorems\.'
 RAW=$(printf '%s\n' "$LIST" | grep -- '-byte object <' |
     grep -Ev "$PENDING")
 if [ -n "$RAW" ]; then

@@ -23,9 +23,7 @@
 #include "aegis/factory.h"
 #include "obs/trace_sink.h"
 #include "pcm/cell_array.h"
-#include "pcm/cell_array_batch.h"
 #include "pcm/fail_cache.h"
-#include "scheme/batch.h"
 #include "util/alloc_guard.h"
 #include "util/bit_vector.h"
 #include "util/rng.h"
@@ -137,77 +135,6 @@ TEST_P(AllocGuardTest, SteadyStateIsAllocationFree)
     if (c.writeAllocFree) {
         EXPECT_EQ(write_allocs, 0u)
             << c.name << ": warmed write touched the heap";
-    }
-}
-
-/** The batched SoA data plane under the same contract: once the
- *  workspace, lane schemes and lane matrices are warm, steady-state
- *  writeBatch/readBatch must not touch the heap — for the
- *  word-parallel overrides and the default per-lane loop alike. */
-TEST_P(AllocGuardTest, BatchSteadyStateIsAllocationFree)
-{
-    ASSERT_TRUE(allocGuardActive())
-        << "binary must be built with AEGIS_ALLOC_GUARD";
-    const SchemeCase &c = GetParam();
-    constexpr std::size_t kLanes = 4;
-
-    auto proto = core::makeScheme(c.name, c.blockBits);
-    pcm::CellArrayBatch batch(c.blockBits, kLanes);
-    scheme::BatchWorkspace ws;
-    ws.bind(*proto, kLanes);
-    pcm::OracleFaultDirectory dir;
-    if (proto->requiresDirectory()) {
-        for (std::size_t l = 0; l < kLanes; ++l)
-            ws.laneScheme(l)->attachDirectory(&dir, l);
-    }
-
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        Rng rng(42);
-        for (int f = 0; f < c.faults; ++f) {
-            std::uint32_t pos;
-            do {
-                pos = static_cast<std::uint32_t>(
-                    rng.nextBounded(c.blockBits));
-            } while (batch.isStuck(l, pos));
-            batch.injectFault(l, pos, rng.nextBool());
-        }
-    }
-
-    Rng rng(43);
-    std::vector<pcm::LaneMatrix> patterns;
-    for (int i = 0; i < 4; ++i) {
-        patterns.emplace_back(c.blockBits, kLanes);
-        for (std::size_t l = 0; l < kLanes; ++l)
-            patterns.back().loadLane(
-                l, BitVector::random(c.blockBits, rng));
-    }
-    std::vector<scheme::WriteOutcome> outcomes(kLanes);
-    pcm::LaneMatrix out;
-
-    for (int round = 0; round < 3; ++round) {
-        for (const pcm::LaneMatrix &data : patterns) {
-            proto->writeBatch(batch, data, outcomes, ws);
-            proto->readBatch(batch, out, ws);
-        }
-    }
-
-    std::uint64_t write_allocs = 0;
-    std::uint64_t read_allocs = 0;
-    for (const pcm::LaneMatrix &data : patterns) {
-        AllocationProbe write_probe;
-        proto->writeBatch(batch, data, outcomes, ws);
-        write_allocs += write_probe.allocations();
-
-        AllocationProbe read_probe;
-        proto->readBatch(batch, out, ws);
-        read_allocs += read_probe.allocations();
-    }
-
-    EXPECT_EQ(read_allocs, 0u)
-        << c.name << ": warmed readBatch touched the heap";
-    if (c.writeAllocFree) {
-        EXPECT_EQ(write_allocs, 0u)
-            << c.name << ": warmed writeBatch touched the heap";
     }
 }
 

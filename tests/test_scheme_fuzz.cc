@@ -29,9 +29,7 @@
 #include "aegis/partition.h"
 #include "obs/metrics.h"
 #include "pcm/cell_array.h"
-#include "pcm/cell_array_batch.h"
 #include "pcm/fail_cache.h"
-#include "scheme/batch.h"
 #include "scheme/inversion_driver.h"
 #include "scheme/safer.h"
 #include "util/error.h"
@@ -583,262 +581,6 @@ TEST(MaskedVsNaive, ReadIntoMatchesPerBitReadBit)
 }
 
 // ---------------------------------------------------------------------
-// Batch oracle: the batched SoA data plane (pcm::CellArrayBatch +
-// Scheme::writeBatch/readBatch) driven against per-block reference
-// instances through one identical interleaving of fault injections and
-// writes. The contract is total: effective cell state, fault sets,
-// per-cell wear, decoded reads, exported metadata, per-write outcomes
-// and the obs counter deltas must all be bit-identical, for the
-// word-parallel overrides and for the default per-lane loop alike.
-// ---------------------------------------------------------------------
-
-/** gtest prints a BatchCase as raw bytes at the end of each discovered
- *  ctest name. The fixed integer fields lead and the name pointer,
- *  whose value moves with ASLR, comes last, so a name cut short for
- *  display reads the same in every build. */
-struct BatchCase
-{
-    BatchCase(const char *n, std::size_t b, std::size_t l, int r)
-        : bits(b), lanes(l), rounds(r), name(n)
-    {}
-
-    std::size_t bits;
-    std::size_t lanes;
-    int rounds;
-    const char *name;
-};
-
-void
-runBatchOracle(const BatchCase &bc, std::uint64_t seed)
-{
-    Rng rng(seed);
-    auto proto = core::makeScheme(bc.name, bc.bits);
-
-    pcm::OracleFaultDirectory refDir;
-    pcm::OracleFaultDirectory batchDir;
-
-    std::vector<std::unique_ptr<scheme::Scheme>> ref;
-    std::vector<pcm::CellArray> refCells;
-    for (std::size_t l = 0; l < bc.lanes; ++l) {
-        ref.push_back(core::makeScheme(bc.name, bc.bits));
-        ref.back()->attachDirectory(&refDir, l);
-        refCells.emplace_back(bc.bits);
-    }
-
-    pcm::CellArrayBatch batch(bc.bits, bc.lanes,
-                              pcm::CellArrayBatch::WearTracking::PerCell);
-    scheme::BatchWorkspace ws;
-    ws.bind(*proto, bc.lanes);
-    for (std::size_t l = 0; l < bc.lanes; ++l)
-        ws.laneScheme(l)->attachDirectory(&batchDir, l);
-
-    pcm::LaneMatrix data(bc.bits, bc.lanes);
-    pcm::LaneMatrix decoded;
-    std::vector<scheme::WriteOutcome> refOutcomes(bc.lanes);
-    std::vector<scheme::WriteOutcome> outcomes(bc.lanes);
-    BitVector laneScratch;
-    BitVector refScratch;
-    pcm::CellArray stateScratch(bc.bits);
-    obs::Metrics refDelta;
-    obs::Metrics batchDelta;
-
-    for (int round = 0; round < bc.rounds; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        // Inject the same fault on both sides of the oracle.
-        if (round > 1 && round % 3 == 0) {
-            const auto lane = rng.nextBounded(bc.lanes);
-            const auto pos =
-                static_cast<std::uint32_t>(rng.nextBounded(bc.bits));
-            const bool stuck = rng.nextBool();
-            if (!refCells[lane].isStuck(pos)) {
-                refCells[lane].injectFault(pos, stuck);
-                batch.injectFault(lane, pos, stuck);
-                refDir.record(lane, {pos, stuck});
-                batchDir.record(lane, {pos, stuck});
-            }
-        }
-        for (std::size_t l = 0; l < bc.lanes; ++l) {
-            laneScratch = BitVector::random(bc.bits, rng);
-            data.loadLane(l, laneScratch);
-        }
-
-        const auto refBefore = obs::mark();
-        for (std::size_t l = 0; l < bc.lanes; ++l) {
-            data.storeLane(l, laneScratch);
-            refOutcomes[l] = ref[l]->write(refCells[l], laneScratch);
-        }
-        refDelta.merge(obs::deltaSince(refBefore));
-
-        const auto batchBefore = obs::mark();
-        proto->writeBatch(batch, data, outcomes, ws);
-        batchDelta.merge(obs::deltaSince(batchBefore));
-
-        for (std::size_t l = 0; l < bc.lanes; ++l) {
-            SCOPED_TRACE("lane " + std::to_string(l));
-            ASSERT_EQ(outcomes[l].ok, refOutcomes[l].ok);
-            ASSERT_EQ(outcomes[l].programPasses,
-                      refOutcomes[l].programPasses);
-            ASSERT_EQ(outcomes[l].repartitions,
-                      refOutcomes[l].repartitions);
-            ASSERT_EQ(outcomes[l].newFaults, refOutcomes[l].newFaults);
-            ASSERT_EQ(outcomes[l].io.programPasses,
-                      refOutcomes[l].io.programPasses);
-            ASSERT_EQ(outcomes[l].io.verifyReads,
-                      refOutcomes[l].io.verifyReads);
-            ASSERT_EQ(outcomes[l].io.metadataLookups,
-                      refOutcomes[l].io.metadataLookups);
-            ASSERT_EQ(outcomes[l].io.metadataUpdates,
-                      refOutcomes[l].io.metadataUpdates);
-            ASSERT_EQ(outcomes[l].io.repartitions,
-                      refOutcomes[l].io.repartitions);
-
-            // Cell-state identity: effective plane, faults, wear.
-            batch.readLaneInto(l, laneScratch);
-            refCells[l].readInto(refScratch);
-            ASSERT_EQ(laneScratch, refScratch);
-            ASSERT_EQ(batch.faults(l), refCells[l].faults());
-            ASSERT_EQ(batch.cellWrites(l),
-                      refCells[l].totalCellWrites());
-            batch.extractLane(l, stateScratch);
-            for (std::size_t i = 0; i < bc.bits; ++i) {
-                ASSERT_EQ(stateScratch.cellWritesAt(i),
-                          refCells[l].cellWritesAt(i))
-                    << "pos " << i;
-            }
-
-            // Metadata identity (inversion vectors, slopes, entries).
-            ASSERT_EQ(ws.laneScheme(l)->exportMetadata(),
-                      ref[l]->exportMetadata());
-        }
-
-        // Decoded reads.
-        proto->readBatch(batch, decoded, ws);
-        for (std::size_t l = 0; l < bc.lanes; ++l) {
-            decoded.storeLane(l, laneScratch);
-            ref[l]->readInto(refCells[l], refScratch);
-            ASSERT_EQ(laneScratch, refScratch)
-                << "decoded lane " << l;
-        }
-    }
-
-    // Counter identity across the whole interleaving (timers are
-    // wall-clock and gauges maxima; both are excluded by design).
-    for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
-        EXPECT_EQ(batchDelta.counters[c], refDelta.counters[c])
-            << "counter "
-            << obs::counterName(static_cast<obs::Counter>(c));
-    }
-}
-
-struct BatchFuzz : ::testing::TestWithParam<BatchCase>
-{};
-
-TEST_P(BatchFuzz, BatchedPathMatchesPerBlockReference)
-{
-    runBatchOracle(GetParam(), 0xB417C4ull);
-}
-
-TEST_P(BatchFuzz, BatchedPathMatchesPerBlockReferenceOnScalarBackend)
-{
-    const std::string before = simd::backendName();
-    ASSERT_TRUE(simd::selectBackend("scalar"));
-    runBatchOracle(GetParam(), 0x5CA1A7ull);
-    ASSERT_TRUE(simd::selectBackend(before));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schemes, BatchFuzz,
-    ::testing::Values(
-        // Word-parallel overrides.
-        BatchCase{"none", 256, 8, 30},
-        BatchCase{"ecp4", 256, 8, 30},
-        BatchCase{"safer32", 256, 8, 30},
-        BatchCase{"aegis-12x23", 256, 8, 30},
-        BatchCase{"aegis-9x31", 256, 7, 30},
-        BatchCase{"aegis-9x61", 512, 5, 24},
-        // Default per-lane loop (no override / cache variants that
-        // delegate to it).
-        BatchCase{"hamming", 256, 5, 20},
-        BatchCase{"rdis3", 256, 5, 20},
-        BatchCase{"safer16-cache", 256, 6, 24},
-        BatchCase{"aegis-cache-12x23", 256, 6, 24}),
-    [](const ::testing::TestParamInfo<BatchCase> &info) {
-        std::string n = info.param.name;
-        for (char &c : n) {
-            if (c == '-')
-                c = '_';
-        }
-        return n + "_" + std::to_string(info.param.bits) + "_" +
-               std::to_string(info.param.lanes);
-    });
-
-/**
- * Backend invariance of the batched plane itself: the same scripted
- * batch run under the dispatched backend and under the forced scalar
- * backend must end in bit-identical lane state, metadata and counter
- * deltas. (Together with the oracle above this closes the triangle
- * scalar == SIMD == per-block.)
- */
-TEST(BatchFuzz, ScalarAndDispatchedBackendsBitIdentical)
-{
-    const BatchCase bc{"aegis-12x23", 256, 6, 24};
-
-    const auto capture = [&bc](const char *backend) {
-        const std::string before = simd::backendName();
-        EXPECT_TRUE(simd::selectBackend(backend));
-        Rng rng(0xD15BA7C4ull);
-        auto proto = core::makeScheme(bc.name, bc.bits);
-        pcm::CellArrayBatch batch(
-            bc.bits, bc.lanes,
-            pcm::CellArrayBatch::WearTracking::PerCell);
-        scheme::BatchWorkspace ws;
-        pcm::LaneMatrix data(bc.bits, bc.lanes);
-        pcm::LaneMatrix decoded;
-        std::vector<scheme::WriteOutcome> outcomes(bc.lanes);
-        BitVector laneScratch;
-
-        const auto before_metrics = obs::mark();
-        for (int round = 0; round < bc.rounds; ++round) {
-            if (round > 1 && round % 3 == 0) {
-                const auto lane = rng.nextBounded(bc.lanes);
-                const auto pos = static_cast<std::uint32_t>(
-                    rng.nextBounded(bc.bits));
-                batch.injectFault(lane, pos, rng.nextBool());
-            }
-            for (std::size_t l = 0; l < bc.lanes; ++l) {
-                laneScratch = BitVector::random(bc.bits, rng);
-                data.loadLane(l, laneScratch);
-            }
-            proto->writeBatch(batch, data, outcomes, ws);
-        }
-        proto->readBatch(batch, decoded, ws);
-        const obs::Metrics delta = obs::deltaSince(before_metrics);
-
-        std::string fp;
-        for (std::size_t l = 0; l < bc.lanes; ++l) {
-            decoded.storeLane(l, laneScratch);
-            fp += laneScratch.toString();
-            fp += ws.laneScheme(l)->exportMetadata().toString();
-            fp += std::to_string(batch.cellWrites(l)) + ";";
-            for (const auto &f : batch.faults(l)) {
-                fp += std::to_string(f.pos) +
-                      (f.stuck ? "W" : "R");
-            }
-            fp += "|";
-            fp += std::to_string(outcomes[l].ok) + ",";
-        }
-        for (std::size_t c = 0; c < obs::kCounterCount; ++c)
-            fp += std::to_string(delta.counters[c]) + ",";
-        EXPECT_TRUE(simd::selectBackend(before));
-        return fp;
-    };
-
-    const std::string scalar = capture("scalar");
-    const std::string dispatched = capture("auto");
-    EXPECT_EQ(scalar, dispatched);
-}
-
-// ---------------------------------------------------------------------
 // Backend invariance through whole schemes: one scripted interleaving
 // of fault injections, writes and reads on the per-block path, run
 // under the forced scalar SIMD backend and under the dispatched one,
@@ -857,7 +599,9 @@ struct BackendCase
  * Run the script for @p c on @p backend and fingerprint everything it
  * touched: write outcomes and decoded data after every write, then
  * exported metadata, cell writes, the fault list and the obs counter
- * deltas.
+ * deltas. Every block shares one fault directory that learns each
+ * injected fault, so the schemes that consult one (the cache modes,
+ * rdis and the rw family) see their faults.
  */
 std::string
 backendFingerprint(const BackendCase &c, const char *backend)
@@ -868,10 +612,12 @@ backendFingerprint(const BackendCase &c, const char *backend)
     EXPECT_TRUE(simd::selectBackend(backend));
 
     Rng rng(0xD15BA7C4ull);
+    pcm::OracleFaultDirectory dir;
     std::vector<std::unique_ptr<scheme::Scheme>> schemes;
     std::vector<pcm::CellArray> cells;
     for (std::size_t b = 0; b < kBlocks; ++b) {
         schemes.push_back(core::makeScheme(c.name, c.blockBits));
+        schemes.back()->attachDirectory(&dir, b);
         cells.emplace_back(c.blockBits);
     }
     BitVector data;
@@ -887,7 +633,9 @@ backendFingerprint(const BackendCase &c, const char *backend)
                 pos = static_cast<std::uint32_t>(
                     rng.nextBounded(c.blockBits));
             } while (cells[b].isStuck(pos));
-            cells[b].injectFault(pos, rng.nextBool());
+            const bool stuck = rng.nextBool();
+            cells[b].injectFault(pos, stuck);
+            dir.record(b, {pos, stuck});
         }
         for (std::size_t b = 0; b < kBlocks; ++b) {
             data = BitVector::random(c.blockBits, rng);
@@ -915,9 +663,17 @@ backendFingerprint(const BackendCase &c, const char *backend)
 
 TEST(SchemeBackends, ScalarAndDispatchedBackendsBitIdentical)
 {
-    for (const BackendCase &c : {BackendCase{"aegis-12x23", 256},
+    for (const BackendCase &c : {BackendCase{"none", 256},
+                                 BackendCase{"ecp4", 256},
                                  BackendCase{"safer32", 256},
-                                 BackendCase{"ecp4", 256}}) {
+                                 BackendCase{"safer16-cache", 256},
+                                 BackendCase{"rdis3", 256},
+                                 BackendCase{"hamming", 256},
+                                 BackendCase{"aegis-12x23", 256},
+                                 BackendCase{"aegis-9x61", 512},
+                                 BackendCase{"aegis-cache-12x23", 256},
+                                 BackendCase{"aegis-rw-17x31", 512},
+                                 BackendCase{"aegis-rw-p5-17x31", 512}}) {
         SCOPED_TRACE(c.name);
         EXPECT_EQ(backendFingerprint(c, "scalar"),
                   backendFingerprint(c, "auto"));

@@ -130,30 +130,6 @@ TEST_F(BackendPair, ReductionsMatchScalar)
     }
 }
 
-TEST_F(BackendPair, LaneReductionsMatchScalar)
-{
-    Rng rng(0xFACEFACEFACEull);
-    const std::size_t words_per_lane = 5;
-    const std::size_t lane_stride = 6; // one pad word between lanes
-    const std::size_t lanes = 9;
-    const auto a = randomWords(lane_stride * lanes, rng);
-    const auto b = randomWords(lane_stride * lanes, rng);
-    std::vector<std::size_t> outScalar(lanes);
-    std::vector<std::size_t> outAvx2(lanes);
-
-    scalar->popcountLanes(a.data(), words_per_lane, lane_stride, lanes,
-                          outScalar.data());
-    avx2->popcountLanes(a.data(), words_per_lane, lane_stride, lanes,
-                        outAvx2.data());
-    EXPECT_EQ(outScalar, outAvx2);
-
-    scalar->xorPopcountLanes(a.data(), b.data(), words_per_lane,
-                             lane_stride, lanes, outScalar.data());
-    avx2->xorPopcountLanes(a.data(), b.data(), words_per_lane,
-                           lane_stride, lanes, outAvx2.data());
-    EXPECT_EQ(outScalar, outAvx2);
-}
-
 TEST(SimdDispatch, ScalarAlwaysSelectable)
 {
     const std::string before = simd::backendName();

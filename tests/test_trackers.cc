@@ -9,6 +9,7 @@
  */
 
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,14 @@ struct Case
     const char *name;
     std::size_t blockBits;
 };
+
+/** Field-wise print, so the discovered ctest names are stable (gtest
+ *  would otherwise print the raw bytes, pointer included). */
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << "{name=" << c.name << ", blockBits=" << c.blockBits << "}";
+}
 
 class TrackerCrossValidation : public ::testing::TestWithParam<Case>
 {};
