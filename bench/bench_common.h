@@ -40,9 +40,7 @@
 #include "obs/trace_sink.h"
 #include "sim/checkpoint.h"
 #include "sim/experiment.h"
-#include "sim/shard.h"
 #include "sim/workload.h"
-#include "sweep/shard_report.h"
 #include "util/atomic_file.h"
 #include "util/cancel.h"
 #include "util/chaos.h"
@@ -79,10 +77,6 @@ inline constexpr FlagSpec kCommonFlagSpecs[] = {
     {"jobs", FlagKind::Uint, "0",
      "Monte-Carlo worker threads (0 = one per hardware thread); "
      "output is identical for every value"},
-    {"shard", FlagKind::String, "",
-     "compute only chunk-grid shard <index>/<count> (0-based) and "
-     "record it in the --checkpoint file for aegis-sweep to merge; "
-     "requires --checkpoint"},
 };
 
 /** The flags shared by the timed latency benches (bench/latency_*):
@@ -149,13 +143,6 @@ inline constexpr FlagSpec kRunnerFlagSpecs[] = {
     {"trace-capacity", FlagKind::Uint, "65536",
      "event-trace ring capacity per track; past it events are "
      "dropped and counted"},
-    {"finalize-partial", FlagKind::Bool, "false",
-     "restore-only run: rebuild every result from the --checkpoint "
-     "file (typically a merged sharded sweep) without computing new "
-     "chunks; requires --resume"},
-    {"shards-report", FlagKind::String, "",
-     "embed the per-shard outcomes from this aegis-sweep report file "
-     "in the manifest's `shards` section"},
 };
 
 /** Register the flags shared by all figure benches. */
@@ -359,36 +346,6 @@ class BenchRunner
                          "<path>\n";
             return 2;
         }
-        if (flagSet == Flags::MonteCarlo &&
-            !cliParser.getString("shard").empty()) {
-            const Expected<sim::ShardSpec> parsedShard =
-                sim::ShardSpec::parse(cliParser.getString("shard"));
-            if (!parsedShard.ok()) {
-                std::cerr << "error: " << parsedShard.error() << "\n";
-                return 2;
-            }
-            shardSpec = *parsedShard;
-        }
-        if (shardSpec.active() &&
-            cliParser.getString("checkpoint").empty()) {
-            std::cerr << "error: --shard requires --checkpoint "
-                         "<path> (the shard's partial results live "
-                         "there)\n";
-            return 2;
-        }
-        const bool finalizePartial =
-            cliParser.getBool("finalize-partial");
-        if (finalizePartial && !cliParser.getBool("resume")) {
-            std::cerr << "error: --finalize-partial requires "
-                         "--resume (it only restores prior work)\n";
-            return 2;
-        }
-        if (finalizePartial && shardSpec.active()) {
-            std::cerr << "error: --finalize-partial restores the "
-                         "whole grid and cannot be combined with "
-                         "--shard\n";
-            return 2;
-        }
 
         try {
             obs::setProgressEnabled(!cliParser.getBool("quiet"));
@@ -432,7 +389,7 @@ class BenchRunner
                                   w.error());
                 session = std::make_unique<sim::CheckpointSession>(
                     ckptPath, programName, flagsFingerprint(),
-                    masterSeed(), shardSpec);
+                    masterSeed());
                 session->setSnapshotEveryChunks(
                     static_cast<std::uint32_t>(
                         cliParser.getUint("checkpoint-every")));
@@ -440,38 +397,13 @@ class BenchRunner
                     const Status r = session->resume();
                     AEGIS_REQUIRE(r.ok(), r.error());
                 }
-                // The finalize pass must leave the merged checkpoint
-                // exactly as the merge wrote it: it is the sweep's
-                // artifact of record, and a crash mid-finalize must
-                // not clobber it with a half-restored snapshot.
-                if (finalizePartial)
-                    session->setReadOnly(true);
             }
 
-            const std::string &reportPath =
-                cliParser.getString("shards-report");
-            if (!reportPath.empty()) {
-                const Expected<std::vector<obs::ShardEntry>> entries =
-                    sweep::loadShardReportFile(reportPath);
-                AEGIS_REQUIRE(entries.ok(), entries.error());
-                for (const obs::ShardEntry &e : *entries)
-                    anyShardFailed =
-                        anyShardFailed || e.status != "ok";
-                record.setShards(*entries);
-            }
-
-            const sim::ScopedRunContext scope(sim::RunContext{
-                session.get(), &cancel, shardSpec, finalizePartial});
+            const sim::ScopedRunContext scope(
+                sim::RunContext{session.get(), &cancel});
             runStart = std::chrono::steady_clock::now();
             body();
-            // A shard worker computed only its slice, and a merged
-            // sweep missing chunks (failed shard) restored only what
-            // survived — either way the record is honest about being
-            // a subset.
-            const bool subset =
-                shardSpec.active() || anyShardFailed ||
-                (session != nullptr && session->skippedChunks() > 0);
-            finish(subset ? "partial" : "complete");
+            finish("complete");
             return 0;
         } catch (const CancelledError &ex) {
             obs::progressLine(std::string(programName) + ": " +
@@ -535,12 +467,7 @@ class BenchRunner
             "quiet",      "trace-timers", "csv",
             "checkpoint", "resume", "checkpoint-every",
             "deadline",   "trace-out", "trace-capacity",
-            "timeseries", "timeline-interval",
-            // Shard identity is checked structurally by the
-            // checkpoint codec/merge, not via the fingerprint: every
-            // shard of one sweep must share the fingerprint so the
-            // merged file resumes cleanly.
-            "shard",      "shards-report", "finalize-partial"};
+            "timeseries", "timeline-interval"};
         BinaryWriter w;
         for (const CliParser::FlagValue &f : cliParser.values()) {
             bool skip = false;
@@ -604,8 +531,6 @@ class BenchRunner
     obs::Manifest record;
     Flags flagSet;
     std::string programName;
-    sim::ShardSpec shardSpec;
-    bool anyShardFailed = false;
     std::unique_ptr<sim::CheckpointSession> session;
     std::chrono::steady_clock::time_point runStart{};
     std::chrono::steady_clock::time_point phaseStart{};

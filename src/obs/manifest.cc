@@ -119,12 +119,6 @@ Manifest::addTimeSeries(TimeSeries series)
 }
 
 void
-Manifest::setShards(std::vector<ShardEntry> entries)
-{
-    shards = std::move(entries);
-}
-
-void
 Manifest::write(std::ostream &os) const
 {
     JsonWriter w(os);
@@ -227,22 +221,6 @@ Manifest::write(std::ostream &os) const
             w.endArray();
         }
         w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-
-    // v5: per-shard outcomes of a sharded sweep. wallSeconds is
-    // advisory wall-clock (like phases) — everything else is
-    // reproducible given the same fault injection.
-    w.key("shards").beginArray();
-    for (const ShardEntry &s : shards) {
-        w.beginObject();
-        w.key("index").value(static_cast<std::uint64_t>(s.index));
-        w.key("status").value(s.status);
-        w.key("attempts").value(static_cast<std::uint64_t>(s.attempts));
-        w.key("exitCode").value(static_cast<std::int64_t>(s.exitCode));
-        w.key("wallSeconds").value(s.wallSeconds);
-        w.key("detail").value(s.detail);
         w.endObject();
     }
     w.endArray();

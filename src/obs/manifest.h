@@ -31,25 +31,11 @@ namespace aegis::obs {
 /** Ordered key/value list — JSON object with deterministic order. */
 using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
 
-/**
- * One shard's outcome in a sharded sweep, as recorded by the sweep
- * supervisor and embedded in the merged manifest's `shards` section.
- */
-struct ShardEntry
-{
-    std::uint32_t index = 0;
-    std::string status;        ///< "ok" | "failed"
-    std::uint32_t attempts = 0;///< spawns, including retries
-    std::int32_t exitCode = 0; ///< last exit code (negated signal)
-    double wallSeconds = 0.0;  ///< advisory: total wall-clock spent
-    std::string detail;        ///< last failure reason, "" when ok
-};
-
 /** Accumulates one bench run's record and serializes it to JSON. */
 class Manifest
 {
   public:
-    static constexpr int kSchemaVersion = 5;
+    static constexpr int kSchemaVersion = 6;
     static constexpr std::string_view kSchemaName =
         "aegis-bench-manifest";
 
@@ -99,10 +85,6 @@ class Manifest
     /** Append one telemetry series to the `timeseries` section. */
     void addTimeSeries(TimeSeries series);
 
-    /** Record the per-shard outcomes of a sharded sweep. The section
-     *  is always emitted (empty for single-process runs). */
-    void setShards(std::vector<ShardEntry> entries);
-
     /** Serialize the manifest as pretty-printed JSON. */
     void write(std::ostream &os) const;
 
@@ -133,7 +115,6 @@ class Manifest
     Metrics metrics;
     std::array<ScopeQuantiles, kScopeCount> timerQuantiles{};
     std::vector<TimeSeries> timeseries;
-    std::vector<ShardEntry> shards;
 };
 
 } // namespace aegis::obs

@@ -85,8 +85,6 @@ encodeCheckpoint(const CheckpointData &data)
     payload.str(data.program);
     payload.u64(data.flagsFingerprint);
     payload.u64(data.masterSeed);
-    payload.u32(data.shardIndex);
-    payload.u32(data.shardCount);
     payload.u32(static_cast<std::uint32_t>(data.completed.size()));
     for (const CheckpointUnit &unit : data.completed) {
         payload.u32(unit.index);
@@ -94,8 +92,9 @@ encodeCheckpoint(const CheckpointData &data)
         payload.u8(unit.kind);
         payload.str(unit.blob);
     }
-    payload.u32(static_cast<std::uint32_t>(data.partials.size()));
-    for (const CheckpointPartial &p : data.partials) {
+    payload.u8(data.inFlight.has_value() ? 1 : 0);
+    if (data.inFlight.has_value()) {
+        const CheckpointPartial &p = *data.inFlight;
         payload.u32(p.index);
         payload.u64(p.fingerprint);
         payload.u8(p.kind);
@@ -156,16 +155,9 @@ decodeCheckpoint(std::string_view bytes, const std::string &path)
     data.program = r.str();
     data.flagsFingerprint = r.u64();
     data.masterSeed = r.u64();
-    data.shardIndex = r.u32();
-    data.shardCount = r.u32();
     const std::uint32_t units = r.u32();
     if (!r.ok())
         return corrupt();
-    if (data.shardCount == 0 || data.shardIndex >= data.shardCount)
-        return Result::failure(
-            "checkpoint `" + path + "' carries an impossible shard "
-            "identity " + std::to_string(data.shardIndex) + "/" +
-            std::to_string(data.shardCount));
     for (std::uint32_t i = 0; i < units; ++i) {
         CheckpointUnit unit;
         unit.index = r.u32();
@@ -176,10 +168,10 @@ decodeCheckpoint(std::string_view bytes, const std::string &path)
             return corrupt();
         data.completed.push_back(std::move(unit));
     }
-    const std::uint32_t partials = r.u32();
-    if (!r.ok())
+    const std::uint8_t hasInFlight = r.u8();
+    if (!r.ok() || hasInFlight > 1)
         return corrupt();
-    for (std::uint32_t i = 0; i < partials; ++i) {
+    if (hasInFlight == 1) {
         CheckpointPartial p;
         p.index = r.u32();
         p.fingerprint = r.u64();
@@ -197,7 +189,7 @@ decodeCheckpoint(std::string_view bytes, const std::string &path)
                 return corrupt();
             p.chunks.push_back(std::move(c));
         }
-        data.partials.push_back(std::move(p));
+        data.inFlight = std::move(p);
     }
     if (!r.ok() || !r.atEnd())
         return corrupt();
@@ -216,15 +208,12 @@ loadCheckpointFile(const std::string &path)
 CheckpointSession::CheckpointSession(std::string path,
                                      std::string program,
                                      std::uint64_t flagsFingerprint,
-                                     std::uint64_t masterSeed,
-                                     ShardSpec shard)
+                                     std::uint64_t masterSeed)
     : filePath(std::move(path))
 {
     current.program = std::move(program);
     current.flagsFingerprint = flagsFingerprint;
     current.masterSeed = masterSeed;
-    current.shardIndex = shard.index;
-    current.shardCount = shard.count;
 }
 
 Status
@@ -250,16 +239,6 @@ CheckpointSession::resume()
             "' was written with --seed " +
             std::to_string(loaded->masterSeed) + ", not --seed " +
             std::to_string(current.masterSeed));
-    if (loaded->shardIndex != current.shardIndex ||
-        loaded->shardCount != current.shardCount)
-        return Status::failure(
-            "cannot resume: checkpoint `" + filePath +
-            "' was written by shard " +
-            std::to_string(loaded->shardIndex) + "/" +
-            std::to_string(loaded->shardCount) +
-            ", not shard " + std::to_string(current.shardIndex) + "/" +
-            std::to_string(current.shardCount) +
-            "; each shard resumes only its own checkpoint");
     restoredFile = std::move(*loaded);
     haveRestored = true;
     return Status();
@@ -270,7 +249,8 @@ CheckpointSession::beginUnit(std::uint64_t fingerprint, StudyKind kind,
                              std::uint64_t items, std::uint64_t grain)
 {
     const std::lock_guard<std::mutex> lock(mu);
-    AEGIS_ASSERT(!unitOpen, "beginUnit while a unit is still open");
+    AEGIS_ASSERT(!current.inFlight.has_value(),
+                 "beginUnit while a unit is still open");
     const std::uint32_t index = nextUnit++;
     const auto stale = [&](const std::string &what) {
         throw ConfigError(
@@ -294,12 +274,9 @@ CheckpointSession::beginUnit(std::uint64_t fingerprint, StudyKind kind,
             out.unitBlob = done->blob;
             return out;
         }
-        const auto part = std::find_if(
-            restoredFile.partials.begin(), restoredFile.partials.end(),
-            [index](const CheckpointPartial &p) {
-                return p.index == index;
-            });
-        if (part != restoredFile.partials.end()) {
+        const std::optional<CheckpointPartial> &part =
+            restoredFile.inFlight;
+        if (part.has_value() && part->index == index) {
             if (part->fingerprint != fingerprint ||
                 part->kind != static_cast<std::uint8_t>(kind))
                 stale("a different configuration");
@@ -316,8 +293,7 @@ CheckpointSession::beginUnit(std::uint64_t fingerprint, StudyKind kind,
     open.items = items;
     open.grain = grain;
     open.chunks = out.chunks;
-    current.partials.push_back(std::move(open));
-    unitOpen = true;
+    current.inFlight = std::move(open);
     return out;
 }
 
@@ -326,8 +302,9 @@ CheckpointSession::chunkDone(std::uint32_t chunk, std::string blob)
 {
     {
         const std::lock_guard<std::mutex> lock(mu);
-        AEGIS_ASSERT(unitOpen, "chunkDone without an open unit");
-        current.partials.back().chunks.push_back(
+        AEGIS_ASSERT(current.inFlight.has_value(),
+                     "chunkDone without an open unit");
+        current.inFlight->chunks.push_back(
             CheckpointChunk{chunk, std::move(blob)});
         ++sinceSnapshot;
         if (snapshotEvery != 0 && sinceSnapshot >= snapshotEvery) {
@@ -346,32 +323,12 @@ void
 CheckpointSession::unitDone(std::string blob)
 {
     const std::lock_guard<std::mutex> lock(mu);
-    AEGIS_ASSERT(unitOpen, "unitDone without an open unit");
-    const CheckpointPartial &open = current.partials.back();
+    AEGIS_ASSERT(current.inFlight.has_value(),
+                 "unitDone without an open unit");
+    const CheckpointPartial &open = *current.inFlight;
     current.completed.push_back(CheckpointUnit{
         open.index, open.fingerprint, open.kind, std::move(blob)});
-    current.partials.pop_back();
-    unitOpen = false;
-    sinceSnapshot = 0;
-    const Status s = writeSnapshotLocked();
-    if (!s.ok())
-        warnWriteFailure(s);
-}
-
-void
-CheckpointSession::shardUnitDone()
-{
-    const std::lock_guard<std::mutex> lock(mu);
-    AEGIS_ASSERT(unitOpen, "shardUnitDone without an open unit");
-    // Chunks arrive in completion order (worker-count dependent);
-    // sorting keeps the file bytes deterministic for a given shard.
-    std::vector<CheckpointChunk> &chunks =
-        current.partials.back().chunks;
-    std::sort(chunks.begin(), chunks.end(),
-              [](const CheckpointChunk &a, const CheckpointChunk &b) {
-                  return a.index < b.index;
-              });
-    unitOpen = false;
+    current.inFlight.reset();
     sinceSnapshot = 0;
     const Status s = writeSnapshotLocked();
     if (!s.ok())
@@ -385,32 +342,9 @@ CheckpointSession::writeSnapshot()
     return writeSnapshotLocked();
 }
 
-void
-CheckpointSession::setReadOnly(bool value)
-{
-    const std::lock_guard<std::mutex> lock(mu);
-    readOnly = value;
-}
-
-void
-CheckpointSession::noteSkippedChunks(std::uint64_t n)
-{
-    const std::lock_guard<std::mutex> lock(mu);
-    skipped += n;
-}
-
-std::uint64_t
-CheckpointSession::skippedChunks() const
-{
-    const std::lock_guard<std::mutex> lock(mu);
-    return skipped;
-}
-
 Status
 CheckpointSession::writeSnapshotLocked()
 {
-    if (readOnly)
-        return Status();
     return atomicWriteFile(filePath, encodeCheckpoint(current));
 }
 

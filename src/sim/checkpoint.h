@@ -19,17 +19,14 @@
  *   magic "AEGISCKP" | u32 version | u64 payloadSize | u64 fnv1a64
  *   checksum | payload
  * The payload records the program name, a fingerprint of the
- * result-affecting flags, the master seed, the shard identity, the
- * finished units, and the chunk grids of units still in flight.
- * Stale checkpoints — wrong program, flags, seed, shard, or per-unit
- * fingerprint — are rejected with an actionable error instead of
- * silently producing a chimera of two different sweeps.
+ * result-affecting flags, the master seed, the finished units, and
+ * the chunk grid of the unit in flight, if any. Stale checkpoints —
+ * wrong program, flags, seed, or per-unit fingerprint — are rejected
+ * with an actionable error instead of silently producing a chimera of
+ * two different sweeps.
  *
- * Version 2 generalizes the single in-flight unit of version 1 to a
- * list: a shard worker (see sim/shard.h) owns only every N-th chunk
- * of each unit, so it can never merge a unit to completion — its
- * finished units stay behind as chunk grids that the sweep
- * supervisor's merge step folds together across shards.
+ * Version 3 stores at most one in-flight unit, because a run opens one
+ * unit at a time; files of any other version are rejected.
  */
 
 #ifndef AEGIS_SIM_CHECKPOINT_H
@@ -45,7 +42,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/experiment.h"
-#include "sim/shard.h"
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/expected.h"
@@ -55,7 +51,7 @@
 namespace aegis::sim {
 
 /** Checkpoint file format version this build reads and writes. */
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /** Which study type a checkpointed unit aggregates. */
 enum class StudyKind : std::uint8_t {
@@ -80,9 +76,7 @@ struct CheckpointUnit
     std::string blob;              ///< serialized merged study
 };
 
-/** The chunk grid of a unit not yet merged to completion: the unit
- *  in flight at snapshot time, or — in a shard worker — every unit,
- *  since a shard owns only a subset of each unit's chunks. */
+/** The chunk grid of the unit in flight at snapshot time. */
 struct CheckpointPartial
 {
     std::uint32_t index = 0;
@@ -99,10 +93,8 @@ struct CheckpointData
     std::string program;
     std::uint64_t flagsFingerprint = 0;
     std::uint64_t masterSeed = 0;
-    std::uint32_t shardIndex = 0; ///< writer's shard (0 unsharded)
-    std::uint32_t shardCount = 1; ///< shards in the sweep (1 unsharded)
     std::vector<CheckpointUnit> completed;
-    std::vector<CheckpointPartial> partials;
+    std::optional<CheckpointPartial> inFlight;
 };
 
 /** Encode @p data as a complete checkpoint file image. */
@@ -144,13 +136,12 @@ class CheckpointSession
   public:
     CheckpointSession(std::string path, std::string program,
                       std::uint64_t flagsFingerprint,
-                      std::uint64_t masterSeed,
-                      ShardSpec shard = ShardSpec{});
+                      std::uint64_t masterSeed);
 
     /**
      * Load the checkpoint file and adopt its progress. Fails with an
      * actionable message when the file is unreadable, corrupt, or was
-     * written by a different program / flag set / seed / shard.
+     * written by a different program / flag set / seed.
      */
     Status resume();
 
@@ -184,33 +175,8 @@ class CheckpointSession
     /** Close the open unit with its merged study blob and snapshot. */
     void unitDone(std::string blob);
 
-    /**
-     * Close the open unit *without* a merged blob, keeping its chunk
-     * grid (sorted by chunk index) in the checkpoint. A shard worker
-     * owns only a subset of each unit's chunks, so this — not
-     * unitDone — is how it finishes a unit; the supervisor's merge
-     * step later folds the grids of all shards back together.
-     */
-    void shardUnitDone();
-
     /** Write a snapshot of all progress now (atomic replace). */
     Status writeSnapshot();
-
-    /**
-     * Suppress all checkpoint writes. Used when finalizing a merged
-     * shard checkpoint: the merged file is an input assembled by the
-     * supervisor, not this run's progress to overwrite.
-     */
-    void setReadOnly(bool value);
-
-    /**
-     * Account chunks that were neither restored nor recomputed — a
-     * degraded finalize over a merge with failed shards. A nonzero
-     * count means the studies under-sampled their grids and the
-     * manifest must say "partial".
-     */
-    void noteSkippedChunks(std::uint64_t n);
-    std::uint64_t skippedChunks() const;
 
     /** Fold in the metrics of a study blob restored from disk. */
     void noteRestoredMetrics(const obs::Metrics &m);
@@ -235,17 +201,14 @@ class CheckpointSession
     Status writeSnapshotLocked();
     void warnWriteFailure(const Status &s);
 
-    mutable std::mutex mu;
+    std::mutex mu;
     std::string filePath;
     CheckpointData current;  ///< progress to persist (restored + new)
     CheckpointData restoredFile; ///< as loaded by resume()
     bool haveRestored = false;
-    bool unitOpen = false;
-    bool readOnly = false;
     std::uint32_t nextUnit = 0;
     std::uint32_t snapshotEvery = 8;
     std::uint32_t sinceSnapshot = 0;
-    std::uint64_t skipped = 0;
     bool warnedWriteFailure = false;
     obs::Metrics restored;
 };
@@ -262,12 +225,6 @@ struct RunContext
 {
     CheckpointSession *session = nullptr;
     const CancelToken *cancel = nullptr;
-    /** Which slice of every chunk grid this process computes. The
-     *  default {0,1} owns everything (the unsharded case). */
-    ShardSpec shard;
-    /** Restore-only finalize: merge the chunks the checkpoint holds,
-     *  never compute missing ones (they belonged to failed shards). */
-    bool restoreOnly = false;
 };
 
 /** The active ambient context (defaults: no session, no token). */
@@ -362,23 +319,11 @@ runStudyUnit(std::size_t items, unsigned jobs, StudyKind kind,
         have[c.index] = 1;
     }
 
-    // A shard computes only the chunks it owns; a restore-only
-    // finalize computes nothing. Chunks neither restored nor computed
-    // here are skipped — someone else's work, or (degraded merge) a
-    // failed shard's lost work, which the session accounts so the
-    // manifest can say "partial".
-    const ShardSpec shard = ctx.shard;
     std::vector<std::size_t> pending;
     pending.reserve(chunks);
-    std::uint64_t skippedHere = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        if (have[c] != 0)
-            continue;
-        if (ctx.restoreOnly || !shard.owns(c))
-            ++skippedHere;
-        else
+    for (std::size_t c = 0; c < chunks; ++c)
+        if (have[c] == 0)
             pending.push_back(c);
-    }
 
     parallelFor(
         pending.size(), jobs,
@@ -406,20 +351,11 @@ runStudyUnit(std::size_t items, unsigned jobs, StudyKind kind,
         throw CancelledError(ctx.cancel->reason());
     }
 
-    // Merging a default-constructed Study is a no-op, so folding the
-    // whole grid in chunk order is correct for every mode; in shard /
-    // restore-only mode the skipped entries simply contribute nothing.
+    // Restored and computed chunks fold in chunk order, exactly as
+    // parallelReduce folds an uninterrupted run.
     Study out;
     for (Study &p : partial)
         out.merge(p);
-    if (shard.active()) {
-        // This worker cannot complete the unit — the other shards own
-        // the missing chunks. Keep the chunk grid for the merge step;
-        // the returned study covers only this shard's slice.
-        session.shardUnitDone();
-        return out;
-    }
-    session.noteSkippedChunks(skippedHere);
     BinaryWriter w;
     serializeStudy(out, w);
     session.unitDone(w.take());

@@ -141,15 +141,6 @@ BitVector::orAssign(const BitVector &other)
 }
 
 AEGIS_HOT BitVector &
-BitVector::andNotAssign(const BitVector &other)
-{
-    AEGIS_ASSERT(numBits == other.numBits, "BitVector size mismatch");
-    simd::andNotWords(wordStore.data(), other.wordStore.data(),
-                      wordStore.size());
-    return *this;
-}
-
-AEGIS_HOT BitVector &
 BitVector::xorAssignAndNot(const BitVector &value, const BitVector &mask)
 {
     AEGIS_ASSERT(numBits == value.numBits && numBits == mask.numBits,
@@ -189,19 +180,6 @@ BitVector::equals(const BitVector &other) const
                                     other.wordStore.data(),
                                     wordStore.size()) ==
                wordStore.size();
-}
-
-std::size_t
-BitVector::firstMismatch(const BitVector &other) const
-{
-    AEGIS_ASSERT(numBits == other.numBits, "BitVector size mismatch");
-    const std::size_t wi = simd::firstMismatchWords(
-        wordStore.data(), other.wordStore.data(), wordStore.size());
-    if (wi == wordStore.size())
-        return numBits;
-    const std::uint64_t diff = wordStore[wi] ^ other.wordStore[wi];
-    return wi * kWordBits +
-           static_cast<std::size_t>(std::countr_zero(diff));
 }
 
 BitVector

@@ -110,9 +110,6 @@ class BitVector
     /** In-place and with @p other (sizes must match). */
     AEGIS_HOT BitVector &andAssign(const BitVector &other);
 
-    /** this &= ~other, without materializing ~other. */
-    AEGIS_HOT BitVector &andNotAssign(const BitVector &other);
-
     /** Flip exactly the bits selected by @p mask (word-parallel). */
     AEGIS_HOT void invertMasked(const BitVector &mask) { xorAssign(mask); }
 
@@ -136,10 +133,6 @@ class BitVector
 
     /** Word-level equality (same size and same bits). */
     AEGIS_HOT bool equals(const BitVector &other) const;
-
-    /** Index of the first bit where this and @p other differ, or
-     *  size() when equal (sizes must match). */
-    std::size_t firstMismatch(const BitVector &other) const;
 
     /** In-place xor with @p other (sizes must match). */
     BitVector &operator^=(const BitVector &other)

@@ -6,8 +6,6 @@
 #include <mutex>
 #include <string>
 
-#include <unistd.h>
-
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -80,8 +78,6 @@ parseChaosSpec(const char *spec)
         const std::string value = item.substr(eq + 1);
         if (key == "kill-after-chunks") {
             config.killAfterChunks = parseCount(key, value);
-        } else if (key == "hang-after-chunks") {
-            config.hangAfterChunks = parseCount(key, value);
         } else if (key == "io-fail-rate") {
             config.ioFailRate = parseProbability(key, value);
         } else if (key == "io-fail-seed") {
@@ -89,8 +85,7 @@ parseChaosSpec(const char *spec)
         } else {
             AEGIS_REQUIRE(false, "AEGIS_CHAOS unknown key `" + key +
                                      "' (expected kill-after-chunks, "
-                                     "hang-after-chunks, io-fail-rate "
-                                     "or io-fail-seed)");
+                                     "io-fail-rate or io-fail-seed)");
         }
     }
     return config;
@@ -131,11 +126,11 @@ void
 chaosNoteChunkComplete()
 {
     const ChaosConfig &config = chaosConfig();
-    if (config.killAfterChunks == 0 && config.hangAfterChunks == 0)
+    if (config.killAfterChunks == 0)
         return;
     const std::uint64_t n =
         g_chunksCompleted.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (config.killAfterChunks != 0 && n == config.killAfterChunks) {
+    if (n == config.killAfterChunks) {
         // Simulate a crash: no destructors, no atexit, no final
         // checkpoint — resume must work from the last periodic
         // snapshot alone.
@@ -143,20 +138,6 @@ chaosNoteChunkComplete()
                      "chaos: injected kill after %llu chunks\n",
                      static_cast<unsigned long long>(n));
         std::_Exit(137);
-    }
-    if (config.hangAfterChunks != 0 && n >= config.hangAfterChunks) {
-        // Simulate a straggler: stay alive, make no progress, never
-        // exit. `>=` hangs every worker thread that reaches the hook
-        // past the threshold, so a multi-threaded sweep wedges
-        // completely instead of limping on minus one thread. Only an
-        // external SIGKILL (the supervisor's stall path) ends this.
-        static std::atomic<bool> announced{false};
-        if (!announced.exchange(true, std::memory_order_relaxed))
-            std::fprintf(stderr,
-                         "chaos: injected hang after %llu chunks\n",
-                         static_cast<unsigned long long>(n));
-        for (;;)
-            ::pause();
     }
 }
 

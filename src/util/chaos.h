@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault injection for the robustness layer, driven by the AEGIS_CHAOS
- * environment variable. Three faults are supported:
+ * environment variable. Two faults are supported:
  *
  *  - `io-fail-rate=<p>` — each atomic file write independently fails
  *    with probability p (deterministically, from `io-fail-seed=<s>`),
@@ -10,11 +10,6 @@
  *    if SIGKILLed) right after the n-th Monte-Carlo chunk completes,
  *    for kill-and-resume integration tests that must not rely on
  *    graceful shutdown.
- *  - `hang-after-chunks=<n>` — once n chunks have completed, every
- *    worker thread reaching the hook blocks forever: the process
- *    stays alive but stops making progress, simulating a straggler
- *    for the sweep supervisor's stall detector (which watches the
- *    checkpoint file's mtime and must escalate to SIGKILL).
  *
  * Example: AEGIS_CHAOS="kill-after-chunks=5,io-fail-rate=0.3"
  * Production runs leave AEGIS_CHAOS unset; every hook then reduces to
@@ -33,9 +28,6 @@ struct ChaosConfig
 {
     /** Kill the process after this many completed chunks (0 = off). */
     std::uint64_t killAfterChunks = 0;
-    /** Hang every worker thread once this many chunks completed
-     *  (0 = off): alive but no progress, a synthetic straggler. */
-    std::uint64_t hangAfterChunks = 0;
     /** Probability each atomic file write fails (0 = off). */
     double ioFailRate = 0.0;
     /** Seed of the deterministic failure stream. */
@@ -43,8 +35,7 @@ struct ChaosConfig
 
     bool enabled() const
     {
-        return killAfterChunks != 0 || hangAfterChunks != 0 ||
-               ioFailRate > 0.0;
+        return killAfterChunks != 0 || ioFailRate > 0.0;
     }
 };
 
@@ -71,10 +62,7 @@ bool chaosShouldFailIo();
 /**
  * Note one completed Monte-Carlo chunk. When kill-after-chunks is
  * armed and the count is reached, the process exits immediately with
- * status 137 — simulating a crash, not a graceful shutdown. When
- * hang-after-chunks is armed and the count has been reached, the
- * calling thread blocks forever — simulating a straggler that only
- * an external supervisor can put down.
+ * status 137 — simulating a crash, not a graceful shutdown.
  */
 void chaosNoteChunkComplete();
 

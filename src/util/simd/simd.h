@@ -50,10 +50,6 @@ struct Backend
     void (*andWords)(std::uint64_t *dst, const std::uint64_t *src,
                      std::size_t n);
 
-    /** dst[i] &= ~src[i] */
-    void (*andNotWords)(std::uint64_t *dst, const std::uint64_t *src,
-                        std::size_t n);
-
     /** dst[i] ^= value[i] & ~mask[i] */
     void (*xorAndNotWords)(std::uint64_t *dst,
                            const std::uint64_t *value,
@@ -116,10 +112,6 @@ orWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 inline void
 andWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 { backend().andWords(dst, src, n); }
-
-inline void
-andNotWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{ backend().andNotWords(dst, src, n); }
 
 inline void
 xorAndNotWords(std::uint64_t *dst, const std::uint64_t *value,

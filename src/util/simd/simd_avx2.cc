@@ -71,18 +71,6 @@ andWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 }
 
 AEGIS_HOT void
-andNotWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    // _mm256_andnot_si256(a, b) computes ~a & b.
-    for (; i + 4 <= n; i += 4)
-        store4(dst + i,
-               _mm256_andnot_si256(load4(src + i), load4(dst + i)));
-    for (; i < n; ++i)
-        dst[i] &= ~src[i];
-}
-
-AEGIS_HOT void
 xorAndNotWords(std::uint64_t *dst, const std::uint64_t *value,
                const std::uint64_t *mask, std::size_t n)
 {
@@ -155,10 +143,9 @@ firstMismatchWords(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 const Backend kAvx2Backend = {
-    "avx2",         &xorWords,         &orWords,
-    &andWords,      &andNotWords,      &xorAndNotWords,
-    &selectWords,   &popcountWords,    &xorPopcountWords,
-    &firstMismatchWords,
+    "avx2",          &xorWords,         &orWords,
+    &andWords,       &xorAndNotWords,   &selectWords,
+    &popcountWords,  &xorPopcountWords, &firstMismatchWords,
 };
 
 } // namespace

@@ -40,13 +40,6 @@ andWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 }
 
 AEGIS_HOT void
-andNotWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] &= ~src[i];
-}
-
-AEGIS_HOT void
 xorAndNotWords(std::uint64_t *dst, const std::uint64_t *value,
                const std::uint64_t *mask, std::size_t n)
 {
@@ -96,10 +89,9 @@ firstMismatchWords(const std::uint64_t *a, const std::uint64_t *b,
 } // namespace
 
 const Backend kScalarBackend = {
-    "scalar",       &xorWords,         &orWords,
-    &andWords,      &andNotWords,      &xorAndNotWords,
-    &selectWords,   &popcountWords,    &xorPopcountWords,
-    &firstMismatchWords,
+    "scalar",        &xorWords,         &orWords,
+    &andWords,       &xorAndNotWords,   &selectWords,
+    &popcountWords,  &xorPopcountWords, &firstMismatchWords,
 };
 
 } // namespace aegis::simd::detail

@@ -6,7 +6,8 @@
 # stdout byte for byte against <goldens-dir>/<bench>.txt, and the
 # --json manifest against <goldens-dir>/<bench>.json in every
 # deterministic field (seed, tables, counters, timeseries; see
-# tools/compare_manifests.py --ignore-wallclock).
+# tools/compare_manifests.py --ignore-wallclock). The fresh manifest
+# must also validate against tools/manifest_schema.json.
 #
 # The scale per bench: --pages 4 --blocks 32 --jobs N for the
 # Monte-Carlo benches (ablation_fail_cache has only --blocks,
@@ -83,4 +84,6 @@ fi
 "$PYTHON" "$TOOLS/compare_manifests.py" --ignore-wallclock \
     "$GOLDENS/$NAME.json" "$WORK/$NAME.json" ||
     fail "$NAME manifest differs from its golden"
+"$PYTHON" "$TOOLS/validate_manifest.py" "$WORK/$NAME.json" ||
+    fail "$NAME manifest does not validate against the schema"
 echo "OK: $NAME ($FLAGS) matches its goldens"

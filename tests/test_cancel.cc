@@ -3,6 +3,7 @@
  * Cooperative cancellation: the CancelToken latch (first reason wins,
  * deadline self-arming), exit-code and label conventions, and the
  * drain behaviour of parallelFor/parallelReduce once a token fires.
+ * Also the AEGIS_CHAOS parser that arms the injected kill.
  */
 
 #include <atomic>
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "util/cancel.h"
+#include "util/chaos.h"
+#include "util/error.h"
 #include "util/parallel.h"
 
 namespace aegis {
@@ -156,6 +159,22 @@ TEST(CancelProcess, ProcessTokenIsASingleton)
 {
     EXPECT_EQ(&processCancelToken(), &processCancelToken());
     processCancelToken().reset();    // leave clean for other tests
+}
+
+TEST(ChaosSpec, ParsesEveryKeyAndRejectsBadInput)
+{
+    EXPECT_FALSE(parseChaosSpec(nullptr).enabled());
+    EXPECT_FALSE(parseChaosSpec("").enabled());
+
+    const ChaosConfig c = parseChaosSpec(
+        "kill-after-chunks=5,io-fail-rate=0.3,io-fail-seed=9");
+    EXPECT_EQ(c.killAfterChunks, 5u);
+    EXPECT_DOUBLE_EQ(c.ioFailRate, 0.3);
+    EXPECT_EQ(c.ioFailSeed, 9u);
+    EXPECT_TRUE(c.enabled());
+
+    EXPECT_THROW(parseChaosSpec("kill-after-chunks=x"), ConfigError);
+    EXPECT_THROW(parseChaosSpec("hang-after-chunks=2"), ConfigError);
 }
 
 } // namespace

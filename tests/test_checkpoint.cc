@@ -152,7 +152,7 @@ sampleCheckpoint()
     partial.items = 64;
     partial.grain = 16;
     partial.chunks.push_back(CheckpointChunk{2, blob.data()});
-    data.partials.push_back(partial);
+    data.inFlight = partial;
     return data;
 }
 
@@ -168,57 +168,20 @@ TEST(CheckpointFile, EncodeDecodeRoundTrips)
     ASSERT_EQ(back->completed.size(), 1u);
     EXPECT_EQ(back->completed[0].fingerprint, 0xabcdefu);
     EXPECT_EQ(back->completed[0].blob, data.completed[0].blob);
-    ASSERT_EQ(back->partials.size(), 1u);
-    EXPECT_EQ(back->partials[0].items, 64u);
-    ASSERT_EQ(back->partials[0].chunks.size(), 1u);
-    EXPECT_EQ(back->partials[0].chunks[0].index, 2u);
-    EXPECT_EQ(back->shardIndex, 0u);
-    EXPECT_EQ(back->shardCount, 1u);
-}
+    ASSERT_TRUE(back->inFlight.has_value());
+    EXPECT_EQ(back->inFlight->index, 1u);
+    EXPECT_EQ(back->inFlight->items, 64u);
+    ASSERT_EQ(back->inFlight->chunks.size(), 1u);
+    EXPECT_EQ(back->inFlight->chunks[0].index, 2u);
 
-TEST(CheckpointFile, ShardIdentityAndMultiplePartialsRoundTrip)
-{
-    CheckpointData data = sampleCheckpoint();
-    data.shardIndex = 2;
-    data.shardCount = 4;
-    data.completed.clear(); // shard workers never complete units
-    CheckpointPartial second;
-    second.index = 3;
-    second.fingerprint = 0x777;
-    second.kind = 2;
-    second.items = 96;
-    second.grain = 16;
-    second.chunks.push_back(CheckpointChunk{2, "blob-a"});
-    second.chunks.push_back(CheckpointChunk{6, "blob-b"});
-    data.partials.push_back(second);
-
-    const Expected<CheckpointData> back =
-        decodeCheckpoint(encodeCheckpoint(data), "x");
-    ASSERT_TRUE(back.ok()) << back.error();
-    EXPECT_EQ(back->shardIndex, 2u);
-    EXPECT_EQ(back->shardCount, 4u);
-    ASSERT_EQ(back->partials.size(), 2u);
-    EXPECT_EQ(back->partials[1].index, 3u);
-    EXPECT_EQ(back->partials[1].items, 96u);
-    ASSERT_EQ(back->partials[1].chunks.size(), 2u);
-    EXPECT_EQ(back->partials[1].chunks[1].blob, "blob-b");
-}
-
-TEST(CheckpointFile, InvalidShardIdentityRejected)
-{
-    CheckpointData data = sampleCheckpoint();
-    data.shardIndex = 4;
-    data.shardCount = 4; // index out of range
-    const Expected<CheckpointData> r =
-        decodeCheckpoint(encodeCheckpoint(data), "ck");
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.error().find("shard"), std::string::npos) << r.error();
-
-    data.shardIndex = 0;
-    data.shardCount = 0; // zero shards is meaningless
-    const Expected<CheckpointData> z =
-        decodeCheckpoint(encodeCheckpoint(data), "ck");
-    EXPECT_FALSE(z.ok());
+    // Between units no unit is in flight.
+    CheckpointData idle = data;
+    idle.inFlight.reset();
+    const Expected<CheckpointData> idleBack =
+        decodeCheckpoint(encodeCheckpoint(idle), "x");
+    ASSERT_TRUE(idleBack.ok()) << idleBack.error();
+    EXPECT_FALSE(idleBack->inFlight.has_value());
+    EXPECT_EQ(idleBack->completed.size(), 1u);
 }
 
 TEST(CheckpointFile, BadMagicRejected)
@@ -238,6 +201,18 @@ TEST(CheckpointFile, VersionMismatchRejected)
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.error().find("version"), std::string::npos)
         << r.error();
+
+    // A file of the previous format says which version it holds.
+    image[8] = static_cast<char>(kCheckpointVersion - 1);
+    const Expected<CheckpointData> old = decodeCheckpoint(image, "ck");
+    ASSERT_FALSE(old.ok());
+    EXPECT_NE(old.error().find(
+                  "has format version " +
+                  std::to_string(kCheckpointVersion - 1) +
+                  "; this build reads version " +
+                  std::to_string(kCheckpointVersion)),
+              std::string::npos)
+        << old.error();
 }
 
 TEST(CheckpointFile, TruncationRejected)
@@ -321,7 +296,7 @@ PageStudy
 runToyUnit(CheckpointSession *session, CancelToken *cancel,
            unsigned jobs, std::size_t items, std::size_t cancelAfter)
 {
-    ScopedRunContext scoped(RunContext{session, cancel, {}, false});
+    ScopedRunContext scoped(RunContext{session, cancel});
     std::atomic<std::size_t> done{0};
     return runStudyUnit<PageStudy>(
         items, jobs, StudyKind::Page, /*fingerprint=*/0x5eed,
@@ -384,7 +359,7 @@ TEST(CheckpointSession, CompletedUnitRestoredWithoutExecution)
     CheckpointSession session(path.str(), "toy", 7, 42);
     ASSERT_TRUE(session.resume().ok());
     std::atomic<bool> executed{false};
-    ScopedRunContext scoped(RunContext{&session, nullptr, {}, false});
+    ScopedRunContext scoped(RunContext{&session, nullptr});
     const PageStudy restored = runStudyUnit<PageStudy>(
         32, 1, StudyKind::Page, 0x5eed,
         [&](PageStudy &, std::size_t) { executed = true; },
@@ -417,7 +392,7 @@ TEST(CheckpointSession, StaleIdentityRejected)
     {    // same session identity, different unit fingerprint
         CheckpointSession s(path.str(), "toy", 7, 42);
         ASSERT_TRUE(s.resume().ok());
-        ScopedRunContext scoped(RunContext{&s, nullptr, {}, false});
+        ScopedRunContext scoped(RunContext{&s, nullptr});
         EXPECT_THROW((void)runStudyUnit<PageStudy>(
                          32, 1, StudyKind::Page, 0xbad,
                          [](PageStudy &, std::size_t) {}, 4),
@@ -470,7 +445,7 @@ TEST(CheckpointSession, RunnersIntegrateWithRealStudies)
 
     TempPath path("real_study");
     CheckpointSession session(path.str(), "test", 1, config.seed);
-    ScopedRunContext scoped(RunContext{&session, nullptr, {}, false});
+    ScopedRunContext scoped(RunContext{&session, nullptr});
     const PageStudy viaSession = runPageStudy(config);
 
     BinaryWriter wg, ws;

@@ -100,7 +100,7 @@ TEST(Manifest, GoldenFixture)
 
     const std::string golden = R"json({
   "schema": "aegis-bench-manifest",
-  "schemaVersion": 5,
+  "schemaVersion": 6,
   "program": "demo_bench",
   "description": "golden manifest fixture",
   "status": "complete",
@@ -243,26 +243,10 @@ TEST(Manifest, GoldenFixture)
         ]
       ]
     }
-  ],
-  "shards": []
+  ]
 }
 )json";
     EXPECT_EQ(m.toJson(), golden);
-}
-
-TEST(Manifest, ShardsSectionEmitted)
-{
-    obs::Manifest m("p", "d");
-    m.setShards({obs::ShardEntry{0, "ok", 1, 0, 1.5, ""},
-                 obs::ShardEntry{2, "failed", 3, 137,
-                                 0.25, "retry budget exhausted"}});
-    const std::string json = m.toJson();
-    EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"exitCode\": 137"), std::string::npos);
-    EXPECT_NE(json.find("\"detail\": \"retry budget exhausted\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"attempts\": 3"), std::string::npos);
 }
 
 TEST(Manifest, PartialStatusRecorded)

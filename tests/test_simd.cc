@@ -67,7 +67,6 @@ TEST_F(BackendPair, InPlaceKernelsMatchScalar)
             {"xor", &Backend::xorWords},
             {"or", &Backend::orWords},
             {"and", &Backend::andWords},
-            {"andnot", &Backend::andNotWords},
         };
         for (const auto &c : cases) {
             auto a = dst0;

@@ -99,10 +99,8 @@ RULES = {
 
 # Paths (relative to the repo root, '/'-separated) where the
 # determinism rules do not apply: observability is *supposed* to read
-# clocks, the chaos harness injects controlled nondeterminism, and the
-# sweep supervisor's timeout/stall/backoff machinery is wall-clock-
-# driven control flow that never touches result cells.
-DET_EXEMPT_PREFIXES = ("src/obs/", "src/sweep/")
+# clocks, and the chaos harness injects controlled nondeterminism.
+DET_EXEMPT_PREFIXES = ("src/obs/",)
 DET_EXEMPT_FILES = ("src/util/chaos.cc", "src/util/chaos.h")
 
 # The only place allowed to touch raw SIMD intrinsics. Everything

@@ -5,10 +5,10 @@ A resumed run must be bit-identical to an uninterrupted one, but only
 in the fields that are deterministic by design: the master seed, the
 result tables (every cell, verbatim), the metrics *counters*, and the
 timeseries section. Timestamps, phase wall-clock seconds, timer
-nanoseconds, the status field, the per-shard outcome section (a merged
-sharded sweep records its worker attempts there) and the flag record
-(a resumed invocation adds --resume) are all legitimately different
-and excluded.
+nanoseconds, the status field and the flag record (a resumed
+invocation adds --resume) are all legitimately different and
+excluded, as is any other section (v5 manifests carry a `shards`
+section that v6 dropped).
 
 Usage: compare_manifests.py [--ignore-wallclock] <golden.json>
 <candidate.json>

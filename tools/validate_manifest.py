@@ -74,18 +74,17 @@ def validate(value, schema, path, errors):
 
 
 def check_timeseries(manifest, errors):
-    """Cross-field check the schema subset cannot express: every row of
-    a timeseries entry must be exactly as wide as its columns list, and
-    a v4 manifest must carry the section (possibly empty)."""
+    """Cross-field checks the schema subset cannot express: every row
+    of a timeseries entry must be exactly as wide as its columns list,
+    a v4+ manifest must carry the timeseries section (possibly empty),
+    and a v5 manifest its shards section, which v6 dropped."""
     version = manifest.get("schemaVersion")
     if isinstance(version, int) and version >= 4:
         if "timeseries" not in manifest:
             errors.append("$: schemaVersion %d requires a timeseries "
                           "section" % version)
-    if isinstance(version, int) and version >= 5:
-        if "shards" not in manifest:
-            errors.append("$: schemaVersion %d requires a shards "
-                          "section" % version)
+    if version == 5 and "shards" not in manifest:
+        errors.append("$: schemaVersion 5 requires a shards section")
     for i, series in enumerate(manifest.get("timeseries", [])):
         if not isinstance(series, dict):
             continue
