@@ -198,7 +198,6 @@ BENCHMARK_CAPTURE(BM_Write, safer32_clean, "safer32", 0u);
 BENCHMARK_CAPTURE(BM_Write, safer32_4faults, "safer32", 4u);
 BENCHMARK_CAPTURE(BM_Write, ecp6_4faults, "ecp6", 4u);
 BENCHMARK_CAPTURE(BM_Write, rdis3_2faults, "rdis3", 2u);
-BENCHMARK_CAPTURE(BM_Write, hamming_2faults, "hamming", 2u);
 
 BENCHMARK_CAPTURE(BM_Read, aegis_9x61_8faults, "aegis-9x61", 8u);
 BENCHMARK_CAPTURE(BM_Read, aegis_rw_23x23_4faults, "aegis-rw-23x23",

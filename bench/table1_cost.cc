@@ -65,8 +65,8 @@ printTable(std::uint32_t block_bits, const CliParser &cli)
                              block_bits, 16, 3)) /
                          block_bits,
                      1)
-              << "%), (72,64) Hamming = " << (block_bits / 64) * 8
-              << " bits (12.5%).\n"
+              << "%), (72,64) Hamming = "
+              << core::costBitsSecDed(block_bits) << " bits (12.5%).\n"
               << "Note: at hard FTC 10 the paper lists 28 bits for "
                  "Aegis-rw, but its own bound needs 26 > 23 slopes; "
                  "the formula-faithful cost (B = 29) is printed "

@@ -74,7 +74,6 @@ main(int argc, char **argv)
         for (std::size_t n = 8; n <= bits / 4; n *= 2)
             candidates.push_back("safer" + std::to_string(n));
         candidates.push_back("rdis3");
-        candidates.push_back("hamming");
         for (std::uint32_t b = core::minimalHeight(bits); b <= 97;
              b = static_cast<std::uint32_t>(nextPrime(b + 1))) {
             const std::uint32_t a = (bits + b - 1) / b;

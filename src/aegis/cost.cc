@@ -101,6 +101,12 @@ costBitsRwP(std::uint32_t b, std::uint32_t f, std::uint32_t p)
     return counter + static_cast<std::uint64_t>(p) * ceilLog2(b) + 2;
 }
 
+std::uint64_t
+costBitsSecDed(std::uint32_t block_bits)
+{
+    return (block_bits / 64) * 8;
+}
+
 namespace {
 
 template <typename CostFn>

@@ -1,7 +1,7 @@
 /**
  * @file
  * Analytic cost / fault-tolerance models for the Aegis family
- * (Table 1 of the paper).
+ * (Table 1 of the paper), plus the (72,64) SEC-DED yardstick.
  *
  * Definitions (for an A x B scheme over an n-bit block):
  *  - basic Aegis needs C(f,2)+1 slopes to guarantee f faults;
@@ -15,7 +15,9 @@
  *    the counter needs ceil(log2(min(slopes needed, B))) bits;
  *  - Aegis-rw-p: counter + p pointers of ceil(log2 B) bits + 1 case
  *    bit + 1 whole-block-inversion bit (f = 1 degenerates to a single
- *    inversion bit).
+ *    inversion bit);
+ *  - (72,64) SEC-DED: 8 check bits per 64-bit data word, the 12.5%
+ *    overhead budget of §3.2.
  */
 
 #ifndef AEGIS_AEGIS_COST_H
@@ -64,6 +66,10 @@ std::uint64_t costBitsRw(std::uint32_t b, std::uint32_t f);
  */
 std::uint64_t costBitsRwP(std::uint32_t b, std::uint32_t f,
                           std::uint32_t p);
+
+/** Check bits of (72,64) SEC-DED over an n-bit block, n a multiple
+ *  of 64: one 8-bit check field per 64-bit data word. */
+std::uint64_t costBitsSecDed(std::uint32_t block_bits);
 
 /** A chosen formation plus its advertised cost. */
 struct CostPoint

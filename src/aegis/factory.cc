@@ -7,7 +7,6 @@
 #include "aegis/aegis_scheme.h"
 #include "audit/scheme_auditor.h"
 #include "scheme/ecp.h"
-#include "scheme/hamming.h"
 #include "scheme/none.h"
 #include "scheme/rdis.h"
 #include "scheme/safer.h"
@@ -70,8 +69,6 @@ makeBareScheme(const std::string &name, std::size_t block_bits)
 
     if (name == "none")
         return std::make_unique<scheme::NoneScheme>(block_bits);
-    if (name == "hamming" || name == "hamming72_64")
-        return std::make_unique<scheme::HammingScheme>(block_bits);
 
     if (long n = numberAfter(name, "ecp"); n > 0) {
         return std::make_unique<scheme::EcpScheme>(

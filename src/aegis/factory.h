@@ -8,7 +8,6 @@
  *   "saferN"                  SAFER with N groups, e.g. "safer32"
  *   "saferN-cache"            SAFER with an ideal fail cache
  *   "rdis3" / "rdisD"         RDIS of depth D (16-row grid)
- *   "hamming"                 (72,64) SEC-DED
  *   "aegis-AxB"               basic Aegis, e.g. "aegis-9x61"
  *   "aegis-cache-AxB"         basic Aegis with an ideal fail cache
  *   "aegis-rw-AxB"            Aegis-rw, e.g. "aegis-rw-17x31"

@@ -123,24 +123,6 @@ BitVector::xorAssign(const BitVector &other)
 }
 
 AEGIS_HOT BitVector &
-BitVector::andAssign(const BitVector &other)
-{
-    AEGIS_ASSERT(numBits == other.numBits, "BitVector size mismatch");
-    simd::andWords(wordStore.data(), other.wordStore.data(),
-                   wordStore.size());
-    return *this;
-}
-
-AEGIS_HOT BitVector &
-BitVector::orAssign(const BitVector &other)
-{
-    AEGIS_ASSERT(numBits == other.numBits, "BitVector size mismatch");
-    simd::orWords(wordStore.data(), other.wordStore.data(),
-                  wordStore.size());
-    return *this;
-}
-
-AEGIS_HOT BitVector &
 BitVector::xorAssignAndNot(const BitVector &value, const BitVector &mask)
 {
     AEGIS_ASSERT(numBits == value.numBits && numBits == mask.numBits,
@@ -222,16 +204,6 @@ BitVector::random(std::size_t n, Rng &rng)
     BitVector v(n);
     v.randomize(rng);
     return v;
-}
-
-void
-BitVector::setWord(std::size_t wi, std::uint64_t w)
-{
-    AEGIS_ASSERT(wi < wordStore.size(),
-                 "BitVector::setWord out of range");
-    wordStore[wi] = w;
-    if (wi + 1 == wordStore.size())
-        maskTail();
 }
 
 void

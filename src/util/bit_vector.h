@@ -104,12 +104,6 @@ class BitVector
     /** In-place xor with @p other (sizes must match). */
     AEGIS_HOT BitVector &xorAssign(const BitVector &other);
 
-    /** In-place or with @p other (sizes must match). */
-    AEGIS_HOT BitVector &orAssign(const BitVector &other);
-
-    /** In-place and with @p other (sizes must match). */
-    AEGIS_HOT BitVector &andAssign(const BitVector &other);
-
     /** Flip exactly the bits selected by @p mask (word-parallel). */
     AEGIS_HOT void invertMasked(const BitVector &mask) { xorAssign(mask); }
 
@@ -138,22 +132,8 @@ class BitVector
     BitVector &operator^=(const BitVector &other)
     { return xorAssign(other); }
 
-    /** In-place and with @p other (sizes must match). */
-    BitVector &operator&=(const BitVector &other)
-    { return andAssign(other); }
-
-    /** In-place or with @p other (sizes must match). */
-    BitVector &operator|=(const BitVector &other)
-    { return orAssign(other); }
-
     friend BitVector operator^(BitVector lhs, const BitVector &rhs)
     { lhs ^= rhs; return lhs; }
-
-    friend BitVector operator&(BitVector lhs, const BitVector &rhs)
-    { lhs &= rhs; return lhs; }
-
-    friend BitVector operator|(BitVector lhs, const BitVector &rhs)
-    { lhs |= rhs; return lhs; }
 
     /** Bitwise complement. */
     BitVector operator~() const;
@@ -177,14 +157,6 @@ class BitVector
 
     /** Direct read access to the backing words (for fast scans). */
     const std::vector<std::uint64_t> &words() const { return wordStore; }
-
-    /** Backing word @p wi (for word-at-a-time codecs). */
-    AEGIS_HOT std::uint64_t word(std::size_t wi) const
-    { return wordStore[wi]; }
-
-    /** Overwrite backing word @p wi; tail bits beyond size() are
-     *  re-masked so invariants hold. */
-    AEGIS_HOT void setWord(std::size_t wi, std::uint64_t w);
 
   private:
     /** Clear any bits in the final partial word beyond numBits. */

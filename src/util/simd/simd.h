@@ -42,14 +42,6 @@ struct Backend
     void (*xorWords)(std::uint64_t *dst, const std::uint64_t *src,
                      std::size_t n);
 
-    /** dst[i] |= src[i] */
-    void (*orWords)(std::uint64_t *dst, const std::uint64_t *src,
-                    std::size_t n);
-
-    /** dst[i] &= src[i] */
-    void (*andWords)(std::uint64_t *dst, const std::uint64_t *src,
-                     std::size_t n);
-
     /** dst[i] ^= value[i] & ~mask[i] */
     void (*xorAndNotWords)(std::uint64_t *dst,
                            const std::uint64_t *value,
@@ -104,14 +96,6 @@ bool avx2Available();
 inline void
 xorWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 { backend().xorWords(dst, src, n); }
-
-inline void
-orWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{ backend().orWords(dst, src, n); }
-
-inline void
-andWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{ backend().andWords(dst, src, n); }
 
 inline void
 xorAndNotWords(std::uint64_t *dst, const std::uint64_t *value,

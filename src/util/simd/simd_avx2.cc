@@ -51,26 +51,6 @@ xorWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 }
 
 AEGIS_HOT void
-orWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        store4(dst + i, _mm256_or_si256(load4(dst + i), load4(src + i)));
-    for (; i < n; ++i)
-        dst[i] |= src[i];
-}
-
-AEGIS_HOT void
-andWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        store4(dst + i, _mm256_and_si256(load4(dst + i), load4(src + i)));
-    for (; i < n; ++i)
-        dst[i] &= src[i];
-}
-
-AEGIS_HOT void
 xorAndNotWords(std::uint64_t *dst, const std::uint64_t *value,
                const std::uint64_t *mask, std::size_t n)
 {
@@ -143,9 +123,9 @@ firstMismatchWords(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 const Backend kAvx2Backend = {
-    "avx2",          &xorWords,         &orWords,
-    &andWords,       &xorAndNotWords,   &selectWords,
-    &popcountWords,  &xorPopcountWords, &firstMismatchWords,
+    "avx2",          &xorWords,         &xorAndNotWords,
+    &selectWords,    &popcountWords,    &xorPopcountWords,
+    &firstMismatchWords,
 };
 
 } // namespace

@@ -26,20 +26,6 @@ xorWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 }
 
 AEGIS_HOT void
-orWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] |= src[i];
-}
-
-AEGIS_HOT void
-andWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] &= src[i];
-}
-
-AEGIS_HOT void
 xorAndNotWords(std::uint64_t *dst, const std::uint64_t *value,
                const std::uint64_t *mask, std::size_t n)
 {
@@ -89,9 +75,9 @@ firstMismatchWords(const std::uint64_t *a, const std::uint64_t *b,
 } // namespace
 
 const Backend kScalarBackend = {
-    "scalar",        &xorWords,         &orWords,
-    &andWords,       &xorAndNotWords,   &selectWords,
-    &popcountWords,  &xorPopcountWords, &firstMismatchWords,
+    "scalar",        &xorWords,         &xorAndNotWords,
+    &selectWords,    &popcountWords,    &xorPopcountWords,
+    &firstMismatchWords,
 };
 
 } // namespace aegis::simd::detail

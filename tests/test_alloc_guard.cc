@@ -55,7 +55,6 @@ PrintTo(const SchemeCase &c, std::ostream *os)
 const SchemeCase kCases[] = {
     {"none", 512, true, 0},
     {"ecp6", 512, true, 2},
-    {"hamming", 512, true, 1},
     {"safer32", 512, true, 2},
     {"safer32-cache", 512, true, 2},
     {"rdis3", 512, false, 2},

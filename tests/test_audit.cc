@@ -33,7 +33,6 @@ allFactoryNames(std::size_t block_bits)
     std::vector<std::string> names =
         core::paperSchemeNames(block_bits);
     names.emplace_back("none");
-    names.emplace_back("hamming");
     if (block_bits == 512) {
         names.emplace_back("aegis-cache-23x23");
         names.emplace_back("aegis-rw-23x23");
@@ -83,10 +82,10 @@ TEST(SchemeAuditor, WrapsEverySchemeTheFactoryCanBuild)
                 dynamic_cast<audit::SchemeAuditor *>(scheme.get());
             ASSERT_NE(auditor, nullptr)
                 << "factory did not wrap " << name;
-            // Factory aliases (e.g. "hamming" -> "hamming72_64") may
-            // canonicalize the base spelling; the suffix must survive.
-            EXPECT_EQ(scheme->name(),
-                      auditor->inner().name() + "+audit");
+            // The factory has no aliases: the inner scheme keeps the
+            // base spelling, and the auditor's name appends the suffix.
+            EXPECT_EQ(auditor->inner().name(), name);
+            EXPECT_EQ(scheme->name(), name + "+audit");
             EXPECT_EQ(scheme->blockBits(), bits);
 
             pcm::OracleFaultDirectory dir;

@@ -8,7 +8,6 @@
 
 #include "aegis/cost.h"
 #include "scheme/ecp.h"
-#include "scheme/hamming.h"
 #include "scheme/rdis.h"
 #include "scheme/safer.h"
 
@@ -130,10 +129,10 @@ TEST(Cost, RdisOverheadsQuotedInPaper)
 TEST(Cost, HammingYardstick)
 {
     // (72,64) coding: 12.5% overhead, the paper's budget ceiling.
-    scheme::HammingScheme ecc(512);
-    EXPECT_EQ(ecc.overheadBits(), 64u);
-    EXPECT_DOUBLE_EQ(static_cast<double>(ecc.overheadBits()) / 512,
+    EXPECT_EQ(costBitsSecDed(512), 64u);
+    EXPECT_DOUBLE_EQ(static_cast<double>(costBitsSecDed(512)) / 512,
                      0.125);
+    EXPECT_EQ(costBitsSecDed(256), 32u);
 }
 
 TEST(Cost, PaperAnecdotes)

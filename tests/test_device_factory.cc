@@ -38,7 +38,6 @@ TEST(Factory, ParsesVariantNames)
               "aegis-rw-p5-17x31");
     EXPECT_EQ(makeScheme("safer64-cache", 512)->name(),
               "safer64-cache");
-    EXPECT_EQ(makeScheme("hamming", 512)->name(), "hamming72_64");
     EXPECT_EQ(makeScheme("none", 512)->name(), "none");
     EXPECT_EQ(makeScheme("rdis3", 512)->name(), "rdis3");
 }

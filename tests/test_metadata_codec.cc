@@ -150,7 +150,6 @@ INSTANTIATE_TEST_SUITE_P(
                       CodecCase{"safer32", 512},
                       CodecCase{"safer16-cache", 256},
                       CodecCase{"rdis3", 512},
-                      CodecCase{"hamming", 256},
                       CodecCase{"aegis-23x23", 512},
                       CodecCase{"aegis-9x61", 512},
                       CodecCase{"aegis-12x23", 256},

@@ -145,7 +145,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{"safer16-cache", 256, 120},
                       FuzzCase{"rdis3", 512, 120},
                       FuzzCase{"rdis3", 256, 120},
-                      FuzzCase{"hamming", 512, 120},
                       FuzzCase{"aegis-23x23", 512, 150},
                       FuzzCase{"aegis-17x31", 512, 150},
                       FuzzCase{"aegis-9x61", 512, 150},
@@ -270,12 +269,11 @@ TEST(DifferentialFuzz, IdenticalSequencesAcrossAllSchemes)
 {
     constexpr std::size_t kBits = 256;
     const std::vector<std::string> schemes = {
-        "none",          "hamming",
-        "ecp4",          "safer32",
-        "safer16-cache", "rdis3",
-        "aegis-12x23",   "aegis-9x31",
-        "aegis-cache-12x23", "aegis-rw-12x23",
-        "aegis-rw-p4-12x23",
+        "none",          "ecp4",
+        "safer32",       "safer16-cache",
+        "rdis3",         "aegis-12x23",
+        "aegis-9x31",    "aegis-cache-12x23",
+        "aegis-rw-12x23", "aegis-rw-p4-12x23",
     };
 
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -408,7 +406,7 @@ TEST(MaskedVsNaive, GroupMasksMatchGroupOfAndPartitionTheBlock)
         core::GroupMaskCache cache;
         for (std::uint32_t k = 0; k < part.slopes(); ++k) {
             cache.rebuild(part, k);
-            BitVector covered(f.bits);
+            std::vector<std::uint32_t> hits(f.bits, 0);
             for (std::uint32_t g = 0; g < part.groups(); ++g) {
                 const BitVector &mask = cache.mask(g);
                 ASSERT_EQ(mask.size(), f.bits);
@@ -417,17 +415,14 @@ TEST(MaskedVsNaive, GroupMasksMatchGroupOfAndPartitionTheBlock)
                         << "slope " << k << " group " << g << " pos "
                         << pos;
                 }
-                // Masks of one slope must be pairwise disjoint...
-                BitVector overlap = covered;
-                overlap.andAssign(mask);
-                ASSERT_TRUE(overlap.none())
-                    << "slope " << k << " group " << g
-                    << " overlaps an earlier group";
-                covered.orAssign(mask);
+                mask.forEachSetBit([&](std::size_t pos) { ++hits[pos]; });
             }
-            // ...and together cover every bit (Theorem 1 again, this
-            // time through the materialized masks).
-            ASSERT_EQ(covered.popcount(), f.bits) << "slope " << k;
+            // The masks of one slope are pairwise disjoint and together
+            // cover every bit: each position lies in exactly one mask
+            // (Theorem 1 again, this time through the materialized
+            // masks).
+            for (std::uint32_t pos = 0; pos < f.bits; ++pos)
+                ASSERT_EQ(hits[pos], 1u) << "slope " << k << " pos " << pos;
         }
     }
 }
@@ -668,7 +663,6 @@ TEST(SchemeBackends, ScalarAndDispatchedBackendsBitIdentical)
                                  BackendCase{"safer32", 256},
                                  BackendCase{"safer16-cache", 256},
                                  BackendCase{"rdis3", 256},
-                                 BackendCase{"hamming", 256},
                                  BackendCase{"aegis-12x23", 256},
                                  BackendCase{"aegis-9x61", 512},
                                  BackendCase{"aegis-cache-12x23", 256},

@@ -57,24 +57,11 @@ TEST_F(BackendPair, InPlaceKernelsMatchScalar)
     Rng rng(0xABCDEF12345678ull);
     for (std::size_t n : kLengths) {
         const auto src = randomWords(n, rng);
-        const auto dst0 = randomWords(n, rng);
-        struct Case {
-            const char *name;
-            void (*Backend::*op)(std::uint64_t *, const std::uint64_t *,
-                                 std::size_t);
-        };
-        const Case cases[] = {
-            {"xor", &Backend::xorWords},
-            {"or", &Backend::orWords},
-            {"and", &Backend::andWords},
-        };
-        for (const auto &c : cases) {
-            auto a = dst0;
-            auto b = dst0;
-            (scalar->*(c.op))(a.data(), src.data(), n);
-            (avx2->*(c.op))(b.data(), src.data(), n);
-            EXPECT_EQ(a, b) << c.name << " n=" << n;
-        }
+        auto a = randomWords(n, rng);
+        auto b = a;
+        scalar->xorWords(a.data(), src.data(), n);
+        avx2->xorWords(b.data(), src.data(), n);
+        EXPECT_EQ(a, b) << "xor n=" << n;
     }
 }
 

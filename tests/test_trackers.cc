@@ -106,8 +106,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{"none", 512}, Case{"ecp4", 512},
                       Case{"ecp6", 256}, Case{"safer32", 512},
                       Case{"safer16-cache", 256}, Case{"rdis3", 512},
-                      Case{"hamming", 256}, Case{"aegis-23x23", 512},
-                      Case{"aegis-9x61", 512}, Case{"aegis-12x23", 256},
+                      Case{"aegis-23x23", 512}, Case{"aegis-9x61", 512},
+                      Case{"aegis-12x23", 256},
                       Case{"aegis-rw-23x23", 512},
                       Case{"aegis-rw-p4-23x23", 512}),
     [](const ::testing::TestParamInfo<Case> &info) {
